@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
 use portalws_core::{
-    ChaosPolicy, PortalDeployment, PortalShell, SecurityMode, ServerArm, TransferClient,
+    ChaosPolicy, DeploymentSpec, PortalShell, SecurityMode, ServerArm, TransferClient,
     TransferConfig, TransportMode, UiServer,
 };
 use portalws_gridsim::cred::Mechanism;
@@ -103,7 +103,16 @@ fn run_schedule(
 ) -> ScheduleOutcome {
     let mut out = ScheduleOutcome::default();
     let policy = ChaosPolicy::from_seed(seed);
-    let deployment = PortalDeployment::with_chaos_arm(security, mode, policy, arm);
+    let deployment = DeploymentSpec {
+        mode,
+        chaos: Some(policy),
+        server: ServerConfig {
+            arm,
+            ..ServerConfig::default()
+        },
+        ..DeploymentSpec::new(security)
+    }
+    .build();
     let ui = Arc::new(UiServer::new(Arc::clone(&deployment)));
     // Every schedule runs with versioned read caching on, so the cached
     // discovery path itself soaks under chaos (invariant 5 below).
@@ -509,18 +518,20 @@ fn run_shed_schedule(seed: u64, arm: ServerArm) -> ShedOutcome {
     let mut out = ShedOutcome::default();
     let policy = ChaosPolicy::from_seed(seed);
     let config = ServerConfig {
+        arm,
         workers: 2,
         queue_cap: Some(2),
         max_connections: 64,
         shed_retry_after_ms: 5,
+        ..ServerConfig::default()
     };
-    let deployment = PortalDeployment::with_chaos_arm_tuned(
-        SecurityMode::Local,
-        TransportMode::TcpPooled,
-        policy,
-        arm,
-        config,
-    );
+    let deployment = DeploymentSpec {
+        mode: TransportMode::TcpPooled,
+        chaos: Some(policy),
+        server: config,
+        ..DeploymentSpec::new(SecurityMode::Local)
+    }
+    .build();
     deployment.enable_tenant_quotas(TenantQuotas::new(QuotaConfig {
         burst: 8.0,
         refill_per_sec: 20.0,
@@ -620,13 +631,17 @@ fn run_move_schedule(seed: u64, arm: ServerArm) -> MoveOutcome {
 
     let mut out = MoveOutcome::default();
     let policy = ChaosPolicy::from_seed(seed);
-    let deployment = PortalDeployment::with_chaos_arm_sharded(
-        SecurityMode::Open,
-        TransportMode::TcpPooled,
-        policy,
-        arm,
-        3,
-    );
+    let deployment = DeploymentSpec {
+        mode: TransportMode::TcpPooled,
+        chaos: Some(policy),
+        server: ServerConfig {
+            arm,
+            ..ServerConfig::default()
+        },
+        shards: 3,
+        ..DeploymentSpec::new(SecurityMode::Open)
+    }
+    .build();
     let router = Arc::clone(
         deployment
             .data_shards

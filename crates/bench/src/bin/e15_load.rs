@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
-use portalws_core::{PortalDeployment, SecurityMode, ServerArm};
+use portalws_core::{DeploymentSpec, PortalDeployment, SecurityMode, ServerArm, TransportMode};
 use portalws_gridsim::cred::Mechanism;
 use portalws_soap::{PortalErrorKind, SoapClient, SoapError, SoapValue};
 use portalws_wire::ServerConfig;
@@ -60,6 +60,7 @@ fn server_config() -> ServerConfig {
         queue_cap: Some(16),
         max_connections: 256,
         shed_retry_after_ms: 10,
+        ..ServerConfig::default()
     }
 }
 
@@ -305,7 +306,15 @@ fn run_load(
     with_quotas: bool,
     seed: u64,
 ) -> Run {
-    let dep = PortalDeployment::over_tcp_pooled_tuned(SecurityMode::Local, arm, server_config());
+    let dep = DeploymentSpec {
+        mode: TransportMode::TcpPooled,
+        server: ServerConfig {
+            arm,
+            ..server_config()
+        },
+        ..DeploymentSpec::new(SecurityMode::Local)
+    }
+    .build();
     if with_quotas {
         dep.enable_tenant_quotas(TenantQuotas::new(quota_config()));
     }

@@ -75,22 +75,6 @@ pub enum TransportMode {
     TcpPooled,
 }
 
-/// Server concurrency regime for the testbed's TCP arms — orthogonal to
-/// [`TransportMode`], which picks the *client* side. The blocking arm is
-/// the thread-per-connection pool the 2002 servers ran; the reactor arm
-/// drives all connections per worker through epoll state machines, so
-/// idle keep-alive sessions park instead of pinning worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerArm {
-    /// Fixed worker pool, one blocking connection per worker at a time
-    /// (the ablation baseline).
-    #[default]
-    Blocking,
-    /// Epoll reactor: each worker multiplexes many nonblocking
-    /// connections (`wire::reactor`).
-    Reactor,
-}
-
 /// A deployment-wide fault schedule: one master seed fans out to a
 /// per-host client seed (`derive_seed(seed, host)`) and a per-host server
 /// seed (`derive_seed(seed, "server:<host>")`), so every failure the
@@ -133,6 +117,7 @@ impl ChaosPolicy {
 /// One logical server: a router holding `/soap`, `/wsdl`, and the
 /// decentralized-discovery document at `/inspection.wsil`.
 struct LogicalServer {
+    host: &'static str,
     router: Arc<Router>,
     soap: Arc<SoapServer>,
     wsdl: Arc<WsdlHandler>,
@@ -140,7 +125,7 @@ struct LogicalServer {
 }
 
 impl LogicalServer {
-    fn new() -> LogicalServer {
+    fn new(host: &'static str, services: Vec<Arc<dyn SoapService>>) -> LogicalServer {
         let router = Arc::new(Router::new());
         let soap = Arc::new(SoapServer::new());
         let wsdl = Arc::new(WsdlHandler::new());
@@ -148,15 +133,21 @@ impl LogicalServer {
         router.mount("/soap", Arc::clone(&soap) as Arc<dyn Handler>);
         router.mount("/wsdl", Arc::clone(&wsdl) as Arc<dyn Handler>);
         router.mount("/inspection.wsil", Arc::clone(&wsil) as Arc<dyn Handler>);
-        LogicalServer {
+        let server = LogicalServer {
+            host,
             router,
             soap,
             wsdl,
             wsil,
+        };
+        for service in services {
+            server.mount(service);
         }
+        server
     }
 
-    fn mount(&self, host: &str, service: Arc<dyn SoapService>) {
+    fn mount(&self, service: Arc<dyn SoapService>) {
+        let host = self.host;
         let endpoint = format!("http://{host}/soap/{}", service.name());
         self.wsdl
             .publish(WsdlDefinition::from_service(&*service).with_endpoint(endpoint.clone()));
@@ -215,170 +206,111 @@ pub struct PortalDeployment {
     policy: parking_lot::RwLock<Option<Arc<portalws_auth::PolicyEngine>>>,
     /// Per-tenant admission quotas composed into the guards, if enabled.
     quotas: parking_lot::RwLock<Option<Arc<portalws_auth::TenantQuotas>>>,
-    security: SecurityMode,
-    mode: TransportMode,
-    arm: ServerArm,
-    chaos: Option<ChaosPolicy>,
+    spec: DeploymentSpec,
 }
 
 /// Registered demo users: (principal, secret).
 pub const USERS: [(&str, &str); 2] = [("alice@GCE.ORG", "alice-pass"), ("bob@GCE.ORG", "bob-pass")];
 
+/// What to stand up: every choice that distinguishes one testbed from
+/// another. Start from [`DeploymentSpec::new`], override the fields that
+/// differ with struct-update syntax, and [`build`](DeploymentSpec::build).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeploymentSpec {
+    /// How SOAP Service Providers verify callers.
+    pub security: SecurityMode,
+    /// Client transport regime.
+    pub mode: TransportMode,
+    /// How every logical host serves in TCP modes: server arm, workers
+    /// and admission bounds. Each host binds `server.addr`, so keep its
+    /// port 0.
+    pub server: ServerConfig,
+    /// Deterministic fault schedule: every client transport is wrapped in
+    /// a [`ChaosTransport`] and (in TCP modes) every server gets a seeded
+    /// response hook, so the full Fig. 4 topology runs under it (E12).
+    pub chaos: Option<ChaosPolicy>,
+    /// Backend brokers behind a consistent-hash `DataManagement` router;
+    /// `<= 1` keeps the single broker.
+    pub shards: usize,
+}
+
+impl DeploymentSpec {
+    /// In-memory transports, the default [`ServerConfig`], no fault
+    /// schedule, one data shard.
+    pub fn new(security: SecurityMode) -> DeploymentSpec {
+        DeploymentSpec {
+            security,
+            mode: TransportMode::InMemory,
+            server: ServerConfig::default(),
+            chaos: None,
+            shards: 1,
+        }
+    }
+
+    /// Stand the testbed up.
+    pub fn build(self) -> Arc<PortalDeployment> {
+        PortalDeployment::build(self)
+    }
+}
+
 impl PortalDeployment {
     /// Stand the testbed up over in-memory transports (full message
     /// framing, no sockets) — the default for tests and benchmarks.
     pub fn in_memory(security: SecurityMode) -> Arc<PortalDeployment> {
-        Self::build(security, TransportMode::InMemory)
-    }
-
-    /// In-memory testbed whose `DataManagement` endpoint is a
-    /// consistent-hash router over `shards` backend brokers instead of a
-    /// single one. With `shards <= 1` this is exactly
-    /// [`PortalDeployment::in_memory`].
-    pub fn in_memory_sharded(security: SecurityMode, shards: usize) -> Arc<PortalDeployment> {
-        Self::build_inner(
-            security,
-            TransportMode::InMemory,
-            None,
-            ServerArm::Blocking,
-            None,
-            shards,
-        )
-    }
-
-    /// Chaos deployment with a sharded data plane — the e12 cross-shard
-    /// move fault family runs this on both server arms.
-    pub fn with_chaos_arm_sharded(
-        security: SecurityMode,
-        mode: TransportMode,
-        policy: ChaosPolicy,
-        arm: ServerArm,
-        shards: usize,
-    ) -> Arc<PortalDeployment> {
-        Self::build_inner(security, mode, Some(policy), arm, None, shards)
+        DeploymentSpec::new(security).build()
     }
 
     /// Stand the testbed up over real TCP servers on localhost, each
     /// logical host on its own port with `2` worker threads. One TCP
     /// connection per call, as deployed in 2002.
     pub fn over_tcp(security: SecurityMode) -> Arc<PortalDeployment> {
-        Self::build(security, TransportMode::TcpPerCall)
+        DeploymentSpec {
+            mode: TransportMode::TcpPerCall,
+            ..DeploymentSpec::new(security)
+        }
+        .build()
     }
 
     /// Like [`PortalDeployment::over_tcp`], but clients draw keep-alive
     /// connections from a deployment-wide pool instead of dialing per
     /// call.
     pub fn over_tcp_pooled(security: SecurityMode) -> Arc<PortalDeployment> {
-        Self::build(security, TransportMode::TcpPooled)
+        DeploymentSpec {
+            mode: TransportMode::TcpPooled,
+            ..DeploymentSpec::new(security)
+        }
+        .build()
     }
 
-    /// Like [`PortalDeployment::over_tcp_pooled`], but every logical host
-    /// serves through the epoll reactor arm instead of the blocking
-    /// worker pool.
-    pub fn over_tcp_pooled_reactor(security: SecurityMode) -> Arc<PortalDeployment> {
-        Self::build_with_chaos_arm(security, TransportMode::TcpPooled, None, ServerArm::Reactor)
-    }
-
-    /// Pooled TCP deployment with explicit admission-control tuning:
-    /// every logical host serves under `config` (bounded queues, shed
-    /// retry hints, connection caps) on the chosen server `arm`. This is
-    /// the production posture E15 loads to the knee and beyond.
-    pub fn over_tcp_pooled_tuned(
-        security: SecurityMode,
-        arm: ServerArm,
-        config: ServerConfig,
-    ) -> Arc<PortalDeployment> {
-        Self::build_inner(
-            security,
-            TransportMode::TcpPooled,
-            None,
-            arm,
-            Some(config),
-            1,
-        )
-    }
-
-    /// Stand the testbed up under a deterministic fault schedule: every
-    /// client transport is wrapped in a [`ChaosTransport`] and (in TCP
-    /// modes) every server gets a seeded response hook. The full Fig. 4
-    /// topology then runs under the schedule — E12 soaks this.
-    pub fn with_chaos(
-        security: SecurityMode,
-        mode: TransportMode,
-        policy: ChaosPolicy,
-    ) -> Arc<PortalDeployment> {
-        Self::build_with_chaos_arm(security, mode, Some(policy), ServerArm::Blocking)
-    }
-
-    /// Like [`PortalDeployment::with_chaos`], but also choosing the server
-    /// concurrency regime — the E12 soak runs both arms under the same
-    /// schedule.
-    pub fn with_chaos_arm(
-        security: SecurityMode,
-        mode: TransportMode,
-        policy: ChaosPolicy,
-        arm: ServerArm,
-    ) -> Arc<PortalDeployment> {
-        Self::build_with_chaos_arm(security, mode, Some(policy), arm)
-    }
-
-    /// Chaos plus explicit admission bounds: the E12 shed-under-chaos
-    /// schedules run overloaded, fault-injected deployments and assert
-    /// that shed replies still arrive typed and whole.
-    pub fn with_chaos_arm_tuned(
-        security: SecurityMode,
-        mode: TransportMode,
-        policy: ChaosPolicy,
-        arm: ServerArm,
-        config: ServerConfig,
-    ) -> Arc<PortalDeployment> {
-        Self::build_inner(security, mode, Some(policy), arm, Some(config), 1)
-    }
-
-    fn build(security: SecurityMode, mode: TransportMode) -> Arc<PortalDeployment> {
-        Self::build_with_chaos_arm(security, mode, None, ServerArm::Blocking)
-    }
-
-    fn build_with_chaos_arm(
-        security: SecurityMode,
-        mode: TransportMode,
-        chaos: Option<ChaosPolicy>,
-        arm: ServerArm,
-    ) -> Arc<PortalDeployment> {
-        Self::build_inner(security, mode, chaos, arm, None, 1)
-    }
-
-    fn build_inner(
-        security: SecurityMode,
-        mode: TransportMode,
-        chaos: Option<ChaosPolicy>,
-        arm: ServerArm,
-        tuning: Option<ServerConfig>,
-        shards: usize,
-    ) -> Arc<PortalDeployment> {
+    fn build(spec: DeploymentSpec) -> Arc<PortalDeployment> {
+        let DeploymentSpec { mode, chaos, .. } = spec;
         let clock = SimClock::new();
         let grid = Grid::with_clock(Arc::clone(&clock));
         // Mirror the paper testbed hosts/schedulers.
-        for spec in testbed_hosts() {
-            grid.add_host(spec.0, spec.1);
+        for (host, schedulers) in testbed_hosts() {
+            grid.add_host(host, schedulers);
         }
         // With `shards > 1` the `DataManagement` endpoint is a
         // consistent-hash router over that many backend brokers; the
         // deployment's `srb`/`data_service` fields then point at shard 0
         // so existing benches and tests keep a valid (if partial) view.
-        let data_shards = (shards > 1).then(|| {
+        let data_shards = (spec.shards > 1).then(|| {
             Arc::new(ShardedDataService::testbed(
                 &["alice@GCE.ORG", "bob@GCE.ORG"],
-                shards,
+                spec.shards,
             ))
         });
-        let srb = match data_shards
+        let data_service = match data_shards
             .as_ref()
             .and_then(|router| router.backends().first())
         {
-            Some(backend) => Arc::clone(backend.srb()),
-            None => Arc::new(Srb::testbed(&["alice@GCE.ORG", "bob@GCE.ORG"])),
+            Some(backend) => Arc::clone(backend),
+            None => Arc::new(DataManagementService::new(Arc::new(Srb::testbed(&[
+                "alice@GCE.ORG",
+                "bob@GCE.ORG",
+            ])))),
         };
+        let srb = Arc::clone(data_service.srb());
         let auth = AuthService::new(Arc::clone(&clock));
         for (user, pass) in USERS {
             auth.register_user(user, pass);
@@ -388,91 +320,58 @@ impl PortalDeployment {
         let container_registry = Arc::new(ContainerRegistry::new());
 
         // ---- logical servers -------------------------------------------
-        let registry_srv = LogicalServer::new();
-        registry_srv.mount(
-            "registry.gce.org",
-            Arc::new(UddiService::new(Arc::clone(&uddi))),
-        );
-        registry_srv.mount(
-            "registry.gce.org",
-            Arc::new(ContainerRegistryService::new(Arc::clone(
-                &container_registry,
-            ))),
-        );
-
-        let auth_srv = LogicalServer::new();
-        auth_srv.mount("auth.gce.org", Arc::new(AuthSoapFacade(Arc::clone(&auth))));
-
-        let grid_srv = LogicalServer::new();
-        let jobsub = Arc::new(JobSubmissionService::new(Arc::clone(&grid)));
-        grid_srv.mount("grid.sdsc.edu", jobsub);
-        let data_service = match data_shards
-            .as_ref()
-            .and_then(|router| router.backends().first())
-        {
-            Some(backend) => Arc::clone(backend),
-            None => Arc::new(DataManagementService::new(Arc::clone(&srb))),
+        let data_port: Arc<dyn SoapService> = match &data_shards {
+            Some(router) => Arc::clone(router) as Arc<dyn SoapService>,
+            None => Arc::clone(&data_service) as Arc<dyn SoapService>,
         };
-        match &data_shards {
-            Some(router) => {
-                grid_srv.mount("grid.sdsc.edu", Arc::clone(router) as Arc<dyn SoapService>)
-            }
-            None => grid_srv.mount(
-                "grid.sdsc.edu",
-                Arc::clone(&data_service) as Arc<dyn SoapService>,
-            ),
-        }
-        grid_srv.mount(
-            "grid.sdsc.edu",
-            Arc::new(AppFactoryService::new(
-                Arc::clone(&grid),
-                Some(Arc::clone(&contexts)),
-            )),
-        );
-
-        let iu_srv = LogicalServer::new();
-        iu_srv.mount(
-            "gateway.iu.edu",
-            Arc::new(IuScriptGen::new(ContextCoupling::Integrated(Arc::clone(
-                &contexts,
-            )))),
-        );
-        iu_srv.mount(
-            "gateway.iu.edu",
-            Arc::new(ContextManagerMonolith::new(Arc::clone(&contexts))),
-        );
         let decomposed = DecomposedContextServices::new(Arc::clone(&contexts));
-        iu_srv.mount(
-            "gateway.iu.edu",
-            Arc::clone(&decomposed.tree) as Arc<dyn SoapService>,
-        );
-        iu_srv.mount(
-            "gateway.iu.edu",
-            Arc::clone(&decomposed.properties) as Arc<dyn SoapService>,
-        );
-        iu_srv.mount(
-            "gateway.iu.edu",
-            Arc::clone(&decomposed.archive) as Arc<dyn SoapService>,
-        );
-
-        let sdsc_srv = LogicalServer::new();
-        sdsc_srv.mount("hotpage.sdsc.edu", Arc::new(SdscScriptGen));
-
-        let servers: Vec<(&str, LogicalServer)> = vec![
-            ("registry.gce.org", registry_srv),
-            ("auth.gce.org", auth_srv),
-            ("grid.sdsc.edu", grid_srv),
-            ("gateway.iu.edu", iu_srv),
-            ("hotpage.sdsc.edu", sdsc_srv),
+        let servers = vec![
+            LogicalServer::new(
+                "registry.gce.org",
+                vec![
+                    Arc::new(UddiService::new(Arc::clone(&uddi))),
+                    Arc::new(ContainerRegistryService::new(Arc::clone(
+                        &container_registry,
+                    ))),
+                ],
+            ),
+            LogicalServer::new(
+                "auth.gce.org",
+                vec![Arc::new(AuthSoapFacade(Arc::clone(&auth)))],
+            ),
+            LogicalServer::new(
+                "grid.sdsc.edu",
+                vec![
+                    Arc::new(JobSubmissionService::new(Arc::clone(&grid))),
+                    data_port,
+                    Arc::new(AppFactoryService::new(
+                        Arc::clone(&grid),
+                        Some(Arc::clone(&contexts)),
+                    )),
+                ],
+            ),
+            LogicalServer::new(
+                "gateway.iu.edu",
+                vec![
+                    Arc::new(IuScriptGen::new(ContextCoupling::Integrated(Arc::clone(
+                        &contexts,
+                    )))),
+                    Arc::new(ContextManagerMonolith::new(Arc::clone(&contexts))),
+                    decomposed.tree,
+                    decomposed.properties,
+                    decomposed.archive,
+                ],
+            ),
+            LogicalServer::new("hotpage.sdsc.edu", vec![Arc::new(SdscScriptGen)]),
         ];
 
         // WSIL documents link their peers, making the host set walkable
         // without the central registry.
-        for (host, server) in &servers {
-            for (other, _) in &servers {
-                if other != host {
-                    server.wsil.link(format!("http://{other}/inspection.wsil"));
-                }
+        for server in &servers {
+            for other in servers.iter().filter(|o| o.host != server.host) {
+                server
+                    .wsil
+                    .link(format!("http://{}/inspection.wsil", other.host));
             }
         }
 
@@ -480,64 +379,44 @@ impl PortalDeployment {
         let mut transports: HashMap<String, Arc<dyn Transport>> = HashMap::new();
         let mut tcp_servers = Vec::new();
         let mut server_stats: HashMap<String, Arc<portalws_wire::WireStats>> = HashMap::new();
-        // Per-host client-side fault wrapper; the seed fans out so each
-        // host draws an independent but replayable fault stream.
-        let chaos_wrap = |host: &str, inner: Arc<dyn Transport>| -> Arc<dyn Transport> {
-            match &chaos {
+        // One idle-connection pool for the whole deployment, keyed
+        // internally by endpoint (used in pooled mode only).
+        let pool = Arc::new(Pool::new(PoolConfig::default()));
+        for server in &servers {
+            let host = server.host;
+            let handler = Arc::clone(&server.router) as Arc<dyn Handler>;
+            let inner: Arc<dyn Transport> = if mode == TransportMode::InMemory {
+                Arc::new(InMemoryTransport::new(handler))
+            } else {
+                let server_chaos = chaos.as_ref().map(|policy| {
+                    Arc::new(SeededServerChaos::new(
+                        derive_seed(policy.seed, &format!("server:{host}")),
+                        policy.server,
+                    )) as Arc<dyn portalws_wire::ServerChaos>
+                });
+                let handle = HttpServer::start_with(handler, spec.server, server_chaos)
+                    .expect("bind localhost");
+                let addr = handle.addr();
+                server_stats.insert(host.to_owned(), Arc::clone(handle.stats()));
+                tcp_servers.push(handle);
+                match mode {
+                    TransportMode::TcpPooled => {
+                        Arc::new(PooledTransport::with_pool(addr, Arc::clone(&pool)))
+                    }
+                    _ => Arc::new(HttpTransport::new(addr)),
+                }
+            };
+            // Per-host client-side fault wrapper; the seed fans out so each
+            // host draws an independent but replayable fault stream.
+            let inner = match &chaos {
                 Some(policy) => Arc::new(ChaosTransport::new(
                     inner,
                     derive_seed(policy.seed, host),
                     policy.client,
                 )),
                 None => inner,
-            }
-        };
-        match mode {
-            TransportMode::InMemory => {
-                for (host, server) in &servers {
-                    let inner = Arc::new(InMemoryTransport::new(
-                        Arc::clone(&server.router) as Arc<dyn Handler>
-                    )) as Arc<dyn Transport>;
-                    transports.insert((*host).to_owned(), chaos_wrap(host, inner));
-                }
-            }
-            TransportMode::TcpPerCall | TransportMode::TcpPooled => {
-                // One idle-connection pool for the whole deployment, keyed
-                // internally by endpoint (unused in per-call mode).
-                let pool = Arc::new(Pool::new(PoolConfig::default()));
-                for (host, server) in &servers {
-                    let handler = Arc::clone(&server.router) as Arc<dyn Handler>;
-                    let server_chaos = chaos.as_ref().map(|policy| {
-                        Arc::new(SeededServerChaos::new(
-                            derive_seed(policy.seed, &format!("server:{host}")),
-                            policy.server,
-                        )) as Arc<dyn portalws_wire::ServerChaos>
-                    });
-                    let config = tuning.unwrap_or_default();
-                    let handle = match (arm, server_chaos) {
-                        (ServerArm::Blocking, Some(hook)) => {
-                            HttpServer::start_tuned_chaotic(handler, config, hook)
-                        }
-                        (ServerArm::Blocking, None) => HttpServer::start_tuned(handler, config),
-                        (ServerArm::Reactor, Some(hook)) => {
-                            HttpServer::start_reactor_tuned_chaotic(handler, config, hook)
-                        }
-                        (ServerArm::Reactor, None) => {
-                            HttpServer::start_reactor_tuned(handler, config)
-                        }
-                    }
-                    .expect("bind localhost");
-                    let inner: Arc<dyn Transport> = match mode {
-                        TransportMode::TcpPooled => {
-                            Arc::new(PooledTransport::with_pool(handle.addr(), Arc::clone(&pool)))
-                        }
-                        _ => Arc::new(HttpTransport::new(handle.addr())),
-                    };
-                    transports.insert((*host).to_owned(), chaos_wrap(host, inner));
-                    server_stats.insert((*host).to_owned(), Arc::clone(handle.stats()));
-                    tcp_servers.push(handle);
-                }
-            }
+            };
+            transports.insert(host.to_owned(), inner);
         }
 
         // ---- composed service: BatchJob forwards to JobSubmission -------
@@ -546,19 +425,16 @@ impl PortalDeployment {
                 Arc::clone(&transports["grid.sdsc.edu"]),
                 "JobSubmission",
             ));
-            let (_, grid_ls) = servers
+            let grid_ls = servers
                 .iter()
-                .find(|(h, _)| *h == "grid.sdsc.edu")
+                .find(|s| s.host == "grid.sdsc.edu")
                 .expect("grid server exists");
-            grid_ls.mount(
-                "grid.sdsc.edu",
-                Arc::new(BatchJobService::new(jobsub_client)),
-            );
+            grid_ls.mount(Arc::new(BatchJobService::new(jobsub_client)));
         }
 
         let soap_servers: HashMap<String, Arc<SoapServer>> = servers
             .iter()
-            .map(|(host, server)| ((*host).to_owned(), Arc::clone(&server.soap)))
+            .map(|server| (server.host.to_owned(), Arc::clone(&server.soap)))
             .collect();
 
         let deployment = PortalDeployment {
@@ -578,35 +454,17 @@ impl PortalDeployment {
             server_stats,
             policy: parking_lot::RwLock::new(None),
             quotas: parking_lot::RwLock::new(None),
-            security,
-            mode,
-            arm,
-            chaos,
+            spec,
         };
         deployment.apply_guards();
         deployment.populate_registries();
         Arc::new(deployment)
     }
 
-    /// Security mode in effect.
-    pub fn security(&self) -> SecurityMode {
-        self.security
-    }
-
-    /// Transport regime in effect.
-    pub fn transport_mode(&self) -> TransportMode {
-        self.mode
-    }
-
-    /// Server concurrency regime in effect (TCP modes; in-memory
-    /// deployments have no server loop either way).
-    pub fn server_arm(&self) -> ServerArm {
-        self.arm
-    }
-
-    /// The fault schedule in effect, if any.
-    pub fn chaos_policy(&self) -> Option<ChaosPolicy> {
-        self.chaos
+    /// What the deployment was built from: security and transport mode,
+    /// server arm and bounds, fault schedule, shard count.
+    pub fn spec(&self) -> &DeploymentSpec {
+        &self.spec
     }
 
     /// Server-side wire counters for a logical host (TCP modes only;
@@ -625,7 +483,7 @@ impl PortalDeployment {
 
     /// Build the authentication guard for the deployment's security mode.
     fn authn_guard(&self) -> portalws_soap::Guard {
-        match self.security {
+        match self.spec.security {
             SecurityMode::Open => guard::no_auth_guard(),
             SecurityMode::Central => {
                 let auth_client = Arc::new(SoapClient::new(
@@ -645,7 +503,7 @@ impl PortalDeployment {
     fn apply_guards(&self) {
         let policy = self.policy.read().clone();
         let quotas = self.quotas.read().clone();
-        if self.security == SecurityMode::Open && policy.is_none() && quotas.is_none() {
+        if self.spec.security == SecurityMode::Open && policy.is_none() && quotas.is_none() {
             return;
         }
         for (host, server) in &self.soap_servers {
@@ -655,7 +513,7 @@ impl PortalDeployment {
             // Policies and quotas require a verified subject, so Open
             // mode keeps its authn-less base only when neither is
             // installed.
-            let mut g = if self.security == SecurityMode::Open {
+            let mut g = if self.spec.security == SecurityMode::Open {
                 guard::local_guard(Arc::clone(&self.auth))
             } else {
                 self.authn_guard()
@@ -925,6 +783,7 @@ fn testbed_hosts() -> Vec<HostTopology> {
 mod tests {
     use super::*;
     use portalws_soap::SoapValue;
+    use portalws_wire::ServerArm;
 
     #[test]
     fn topology_stands_up_in_memory() {
@@ -1003,7 +862,7 @@ mod tests {
     #[test]
     fn pooled_deployment_round_trip_and_reuse() {
         let d = PortalDeployment::over_tcp_pooled(SecurityMode::Open);
-        assert_eq!(d.transport_mode(), TransportMode::TcpPooled);
+        assert_eq!(d.spec().mode, TransportMode::TcpPooled);
         let t = d.transport("grid.sdsc.edu").unwrap();
         let client = SoapClient::new(Arc::clone(&t), "JobSubmission");
         for _ in 0..4 {
@@ -1020,9 +879,17 @@ mod tests {
         // The full topology on the reactor server arm: SOAP round trips
         // work and pooled keep-alive connections stay reusable, i.e. the
         // reactor honors `Connection: keep-alive` across exchanges.
-        let d = PortalDeployment::over_tcp_pooled_reactor(SecurityMode::Open);
-        assert_eq!(d.server_arm(), ServerArm::Reactor);
-        assert_eq!(d.transport_mode(), TransportMode::TcpPooled);
+        let d = DeploymentSpec {
+            mode: TransportMode::TcpPooled,
+            server: ServerConfig {
+                arm: ServerArm::Reactor,
+                ..ServerConfig::default()
+            },
+            ..DeploymentSpec::new(SecurityMode::Open)
+        }
+        .build();
+        assert_eq!(d.spec().server.arm, ServerArm::Reactor);
+        assert_eq!(d.spec().mode, TransportMode::TcpPooled);
         let t = d.transport("grid.sdsc.edu").unwrap();
         let client = SoapClient::new(Arc::clone(&t), "JobSubmission");
         for _ in 0..4 {
@@ -1042,15 +909,22 @@ mod tests {
         // The production posture: explicit admission bounds on every
         // host. Under nominal load nothing sheds and both arms serve the
         // full topology normally.
-        let config = ServerConfig {
-            workers: 2,
-            queue_cap: Some(64),
-            max_connections: 128,
-            shed_retry_after_ms: 25,
-        };
         for arm in [ServerArm::Blocking, ServerArm::Reactor] {
-            let d = PortalDeployment::over_tcp_pooled_tuned(SecurityMode::Open, arm, config);
-            assert_eq!(d.server_arm(), arm);
+            let config = ServerConfig {
+                arm,
+                workers: 2,
+                queue_cap: Some(64),
+                max_connections: 128,
+                shed_retry_after_ms: 25,
+                ..ServerConfig::default()
+            };
+            let d = DeploymentSpec {
+                mode: TransportMode::TcpPooled,
+                server: config,
+                ..DeploymentSpec::new(SecurityMode::Open)
+            }
+            .build();
+            assert_eq!(d.spec().server.arm, arm);
             let client = SoapClient::new(d.transport("grid.sdsc.edu").unwrap(), "JobSubmission");
             for _ in 0..3 {
                 let hosts = client.call("listHosts", &[]).unwrap();
@@ -1098,7 +972,7 @@ mod tests {
     #[test]
     fn per_call_mode_stays_the_2002_regime() {
         let d = PortalDeployment::over_tcp(SecurityMode::Open);
-        assert_eq!(d.transport_mode(), TransportMode::TcpPerCall);
+        assert_eq!(d.spec().mode, TransportMode::TcpPerCall);
         let t = d.transport("grid.sdsc.edu").unwrap();
         let client = SoapClient::new(Arc::clone(&t), "JobSubmission");
         for _ in 0..3 {
@@ -1136,11 +1010,11 @@ mod tests {
         // same per-class fault counts for the same call sequence — that
         // is the whole point of printing a seed on soak failure.
         let counts = |seed: u64| {
-            let d = PortalDeployment::with_chaos(
-                SecurityMode::Open,
-                TransportMode::InMemory,
-                ChaosPolicy::moderate(seed),
-            );
+            let d = DeploymentSpec {
+                chaos: Some(ChaosPolicy::moderate(seed)),
+                ..DeploymentSpec::new(SecurityMode::Open)
+            }
+            .build();
             let t = d.transport("grid.sdsc.edu").unwrap();
             let client = SoapClient::new(Arc::clone(&t), "JobSubmission");
             for _ in 0..40 {
@@ -1162,12 +1036,12 @@ mod tests {
 
     #[test]
     fn chaos_policy_fans_out_per_host() {
-        let d = PortalDeployment::with_chaos(
-            SecurityMode::Open,
-            TransportMode::InMemory,
-            ChaosPolicy::from_seed(7),
-        );
-        assert_eq!(d.chaos_policy().map(|p| p.seed), Some(7));
+        let d = DeploymentSpec {
+            chaos: Some(ChaosPolicy::from_seed(7)),
+            ..DeploymentSpec::new(SecurityMode::Open)
+        }
+        .build();
+        assert_eq!(d.spec().chaos.map(|p| p.seed), Some(7));
         // Transports on different hosts still answer (chaos is a wrapper,
         // not a replacement), and calls can succeed under a from_seed mix.
         let client = SoapClient::new(d.transport("hotpage.sdsc.edu").unwrap(), "BatchScriptGen");
@@ -1182,7 +1056,11 @@ mod tests {
 
     #[test]
     fn sharded_deployment_serves_data_management_end_to_end() {
-        let d = PortalDeployment::in_memory_sharded(SecurityMode::Open, 4);
+        let d = DeploymentSpec {
+            shards: 4,
+            ..DeploymentSpec::new(SecurityMode::Open)
+        }
+        .build();
         let router = d.data_shards.as_ref().expect("sharded deployment");
         assert_eq!(router.backends().len(), 4);
         let c = SoapClient::new(d.transport("grid.sdsc.edu").unwrap(), "DataManagement");

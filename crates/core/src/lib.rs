@@ -24,7 +24,8 @@ pub mod shell;
 pub mod transfer;
 pub mod ui;
 
-pub use deployment::{ChaosPolicy, PortalDeployment, SecurityMode, ServerArm, TransportMode};
+pub use deployment::{ChaosPolicy, DeploymentSpec, PortalDeployment, SecurityMode, TransportMode};
+pub use portalws_wire::ServerArm;
 pub use shell::PortalShell;
 pub use transfer::{TransferClient, TransferConfig, TransferReport};
 pub use ui::UiServer;

@@ -769,6 +769,29 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_module_is_covered_by_the_panic_rule() {
+        // Pin: wire::dispatch runs every request on both server arms — a
+        // panic there kills a blocking worker, or a reactor worker and
+        // every connection it owns — so it stays under the panic rule
+        // like the rest of the wire crate.
+        assert!(SERVER_CRATES.contains(&"wire"));
+        let src = "fn dispatch(out: &[u8], frame_start: usize) -> u8 {\n    out[frame_start]\n}\nfn next(q: Option<u8>) -> u8 {\n    q.unwrap()\n}\n";
+        let a = analyze_file("crates/wire/src/dispatch.rs", src, FileRules::all());
+        let live: Vec<(&str, u32)> = a
+            .violations
+            .iter()
+            .filter(|v| !v.suppressed)
+            .map(|v| (v.kind.as_str(), v.line))
+            .collect();
+        assert_eq!(
+            live,
+            vec![("index", 2), ("unwrap", 5)],
+            "{:?}",
+            a.violations
+        );
+    }
+
+    #[test]
     fn transfer_modules_are_covered_by_the_panic_rule() {
         // Pin: the chunked-transfer handle table lives in the services
         // crate and every byte of uploaded data flows through it, so a

@@ -131,6 +131,108 @@ fn real_reactor_carries_the_entry_marker() {
     assert_eq!(entries, vec!["run"], "reactor entry marker missing");
 }
 
+/// The wire sources a reactor worker can reach, as shipped.
+fn wire_server_sources() -> Vec<(String, String)> {
+    files(&[
+        (
+            "crates/wire/src/reactor.rs",
+            include_str!("../../wire/src/reactor.rs"),
+        ),
+        (
+            "crates/wire/src/dispatch.rs",
+            include_str!("../../wire/src/dispatch.rs"),
+        ),
+        (
+            "crates/wire/src/server.rs",
+            include_str!("../../wire/src/server.rs"),
+        ),
+        (
+            "crates/wire/src/http.rs",
+            include_str!("../../wire/src/http.rs"),
+        ),
+        (
+            "crates/wire/src/chaos.rs",
+            include_str!("../../wire/src/chaos.rs"),
+        ),
+        (
+            "crates/wire/src/stats.rs",
+            include_str!("../../wire/src/stats.rs"),
+        ),
+    ])
+}
+
+/// Display names of every function reachable from the reactor entry.
+fn reached_from_reactor_entry(fs: &[(String, String)]) -> Vec<(String, String)> {
+    let g = CallGraph::build(fs);
+    let mut seen: Vec<usize> = g.entries(true);
+    let mut i = 0;
+    while let Some(&f) = seen.get(i) {
+        for call in &g.fns[f].calls {
+            for t in g.resolve(f, call) {
+                if !seen.contains(&t) {
+                    seen.push(t);
+                }
+            }
+        }
+        i += 1;
+    }
+    seen.into_iter()
+        .map(|f| (g.fns[f].file.clone(), g.fns[f].display()))
+        .collect()
+}
+
+#[test]
+fn reactor_entry_reaches_the_shared_dispatch_without_blocking() {
+    // Both arms run one request pipeline, so the reactor's non-blocking
+    // guarantee now covers `wire::dispatch` too: chaos `Delay` must go
+    // back to the driver, never sleep inside the pipeline. Pin that the
+    // reactor entry does reach the pipeline (a refactor that routes
+    // around it would make the check below vacuous) and that nothing it
+    // reaches blocks, with the blocking arm's driver in the graph.
+    let fs = wire_server_sources();
+    let reached = reached_from_reactor_entry(&fs);
+    for f in [
+        "Pipeline::dispatch",
+        "Pipeline::bad_request",
+        "Inbox::next_request",
+        "RequestParser::try_next",
+    ] {
+        assert!(
+            reached.iter().any(|(_, name)| name == f),
+            "{f} not reached: {reached:?}"
+        );
+    }
+    assert!(
+        !reached.iter().any(|(_, name)| name == "serve_one"),
+        "the blocking driver leaked into the reactor's graph"
+    );
+    let vs = check_reachability(&fs);
+    assert!(firing(&vs, RULE_REACTOR).is_empty(), "{vs:?}");
+
+    // The same graph with a pipeline that sleeps on `Delay` fires, naming
+    // the chain through the shared stage.
+    let sleeping = include_str!("../../wire/src/dispatch.rs").replacen(
+        "outcome.delay = Some(d);",
+        "std::thread::sleep(d);",
+        1,
+    );
+    assert_ne!(sleeping, include_str!("../../wire/src/dispatch.rs"));
+    let mut fs = fs;
+    fs[1].1 = sleeping;
+    let vs = check_reachability(&fs);
+    let fires = firing(&vs, RULE_REACTOR);
+    assert_eq!(fires.len(), 1, "{vs:?}");
+    assert_eq!(fires[0].kind, "sleep");
+    assert!(
+        fires[0]
+            .message
+            .contains("serve_buffered → Pipeline::dispatch")
+            || fires[0].message.contains("serve_buffered → dispatch"),
+        "{}",
+        fires[0].message
+    );
+}
+
 #[test]
 fn real_substrate_carries_the_hot_path_markers() {
     let sources = files(&[

@@ -176,29 +176,36 @@ impl Request {
         n + "Content-Length: ".len() + decimal_digits(self.body.len()) + 4 + self.body.len()
     }
 
-    /// Read one request from an existing buffered reader. Keep-alive
-    /// serving uses this with one [`BufReader`] per connection, so the
-    /// read buffer (and any pipelined bytes it holds) survives across
-    /// requests.
+    /// Read one request from a buffered reader through a fresh
+    /// [`RequestParser`] — the parser both server arms run, so its
+    /// framing rules are the servers' framing rules. Only the request's
+    /// own bytes are consumed: pipelined bytes behind it stay in the
+    /// reader for the next call.
     pub fn read_from_buffered(reader: &mut impl BufRead) -> Result<Request> {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let mut parts = line.split_whitespace();
-        let method = parts
-            .next()
-            .ok_or_else(|| WireError::BadFrame("empty request line".into()))?
-            .to_owned();
-        let path = parts
-            .next()
-            .ok_or_else(|| WireError::BadFrame("request line missing path".into()))?
-            .to_owned();
-        let (headers, body) = read_headers_and_body(reader)?;
-        Ok(Request {
-            method,
-            path,
-            headers,
-            body,
-        })
+        let mut parser = RequestParser::new();
+        loop {
+            let chunk = reader.fill_buf()?;
+            let n = chunk.len();
+            if n == 0 {
+                return Err(if parser.is_empty() {
+                    WireError::BadFrame("empty request line".into())
+                } else {
+                    WireError::Io(std::io::ErrorKind::UnexpectedEof.into())
+                });
+            }
+            parser.feed(chunk);
+            let parsed = parser.try_next();
+            // Consume what the request used; on success the parser still
+            // holds the surplus it was fed.
+            let used = match parsed {
+                Ok(Some(_)) => n - parser.buffered(),
+                _ => n,
+            };
+            reader.consume(used);
+            if let Some(req) = parsed? {
+                return Ok(req);
+            }
+        }
     }
 
     /// Read one request from a stream.
@@ -207,25 +214,29 @@ impl Request {
     }
 }
 
-/// Upper bound on a request head (request line + headers). A peer that
-/// streams this much without terminating its header block is not speaking
-/// the protocol; the incremental parser refuses to buffer further.
+/// Upper bound on a message head (start line + headers + the blank line).
+/// A request whose head terminator lies past this offset is rejected,
+/// whether its bytes arrive in one read or byte by byte; so is a response
+/// whose head grows past it.
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
-/// Resumable, incremental HTTP request parser for nonblocking readers.
+/// Resumable, incremental HTTP request parser — the one request parser
+/// both server arms run.
 ///
-/// The blocking server reads a request with [`Request::read_from_buffered`]
-/// and simply waits inside `read_line`; a reactor worker cannot wait, so it
-/// [`feed`](RequestParser::feed)s whatever bytes the socket had and asks
-/// [`try_next`](RequestParser::try_next) whether a complete request has
-/// accumulated. The internal buffer is the connection's *read scratch*: it
-/// moves with the connection state (not the worker thread) and keeps its
-/// capacity across keep-alive requests, so a warm connection parses without
-/// reallocating. Pipelined bytes beyond the first request simply remain
-/// buffered for the next `try_next` call.
+/// A driver [`feed`](RequestParser::feed)s whatever bytes the socket had
+/// and asks [`try_next`](RequestParser::try_next) whether a complete
+/// request has accumulated. The internal buffer is the *read scratch*: it
+/// keeps its capacity across keep-alive requests (and, on the blocking
+/// arm, across the connections a worker serves), so a warm parser does
+/// not reallocate. Pipelined bytes beyond the first request simply remain
+/// buffered for the next `try_next` call. Every verdict depends only on
+/// the bytes, never on how they were split into feeds.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
+    /// Length of the request at the front once its head has parsed: with
+    /// fewer bytes buffered there is nothing new to look at.
+    frame_len: usize,
 }
 
 impl RequestParser {
@@ -237,6 +248,13 @@ impl RequestParser {
     /// Append bytes read off the wire.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Drop every buffered byte, keeping the capacity (a worker reuses
+    /// one parser across connections).
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.frame_len = 0;
     }
 
     /// True when no unconsumed bytes are buffered — the state in which a
@@ -261,28 +279,24 @@ impl RequestParser {
     ///   surplus stays buffered.
     /// * `Ok(None)` — the bytes so far are a valid *prefix*; feed more.
     /// * `Err(_)` — the bytes can never become a valid request (malformed
-    ///   request line or header, bad or oversized Content-Length, or an
-    ///   unterminated header block past [`MAX_HEAD_BYTES`]). The caller
-    ///   should answer 400 and close.
+    ///   request line or header, bad or oversized Content-Length, or a
+    ///   head longer than [`MAX_HEAD_BYTES`]). The caller should answer
+    ///   400 and close.
     pub fn try_next(&mut self) -> Result<Option<Request>> {
-        let Some(head_end) = find_head_end(&self.buf) else {
+        if self.buf.len() < self.frame_len {
+            return Ok(None); // head parsed, body still arriving
+        }
+        // Only a terminator inside the first MAX_HEAD_BYTES counts, so a
+        // long head is refused the same way whether it is still arriving
+        // or was buffered whole by one large read.
+        let scan = self.buf.get(..MAX_HEAD_BYTES).unwrap_or(&self.buf);
+        let Some(head_end) = find_head_end(scan) else {
             if self.buf.len() > MAX_HEAD_BYTES {
-                return Err(WireError::BadFrame(format!(
-                    "request head exceeds the {MAX_HEAD_BYTES}-byte cap without terminating"
-                )));
+                return Err(head_too_long());
             }
             return Ok(None);
         };
-        let head = self
-            .buf
-            .get(..head_end)
-            .ok_or_else(|| WireError::BadFrame("header span out of range".into()))?;
-        let head = std::str::from_utf8(head)
-            .map_err(|_| WireError::BadFrame("request head is not UTF-8".into()))?;
-        let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
-        let request_line = lines
-            .next()
-            .ok_or_else(|| WireError::BadFrame("empty request line".into()))?;
+        let (request_line, headers) = parse_head(self.buf.get(..head_end).unwrap_or_default())?;
         let mut parts = request_line.split_whitespace();
         let method = parts
             .next()
@@ -292,27 +306,14 @@ impl RequestParser {
             .next()
             .ok_or_else(|| WireError::BadFrame("request line missing path".into()))?
             .to_owned();
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue; // the blank terminator line
-            }
-            let (k, v) = line
-                .split_once(':')
-                .ok_or_else(|| WireError::BadFrame(format!("malformed header line {line:?}")))?;
-            headers.push((k.trim().to_owned(), v.trim().to_owned()));
-        }
-        let len = declared_content_length(&headers)?;
-        let total = head_end + len;
-        if self.buf.len() < total {
-            return Ok(None); // head complete, body still arriving
-        }
-        let body = self
-            .buf
-            .get(head_end..total)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| WireError::BadFrame("body span out of range".into()))?;
+        let total = head_end + declared_content_length(&headers)?;
+        let Some(body) = self.buf.get(head_end..total) else {
+            self.frame_len = total;
+            return Ok(None);
+        };
+        let body = body.to_vec();
         self.buf.drain(..total);
+        self.frame_len = 0;
         Ok(Some(Request {
             method,
             path,
@@ -323,8 +324,8 @@ impl RequestParser {
 }
 
 /// Offset one past the header-block terminator (`\n\n` or `\n\r\n`), if
-/// the buffer holds a complete head. Line endings match the blocking
-/// reader's tolerance: bare `\n` is accepted alongside `\r\n`.
+/// the buffer holds a complete head. Bare `\n` line endings are accepted
+/// alongside `\r\n`.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut i = 0;
     while let Some(&b) = buf.get(i) {
@@ -470,9 +471,21 @@ impl Response {
     /// connections carrying several responses: a fresh `BufReader` per
     /// response could read ahead and drop the next frame's bytes).
     pub fn read_from_buffered(reader: &mut impl BufRead) -> Result<Response> {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let mut parts = line.split_whitespace();
+        let mut head = Vec::new();
+        loop {
+            let line_start = head.len();
+            if reader.read_until(b'\n', &mut head)? == 0 {
+                return Err(WireError::BadFrame("eof before end of headers".into()));
+            }
+            if head.len() > MAX_HEAD_BYTES {
+                return Err(head_too_long());
+            }
+            if matches!(head.get(line_start..), Some(b"\n" | b"\r\n")) {
+                break;
+            }
+        }
+        let (status_line, headers) = parse_head(&head)?;
+        let mut parts = status_line.split_whitespace();
         let _version = parts
             .next()
             .ok_or_else(|| WireError::BadFrame("empty status line".into()))?;
@@ -480,7 +493,8 @@ impl Response {
             .next()
             .and_then(|c| c.parse().ok())
             .ok_or_else(|| WireError::BadFrame("status line missing code".into()))?;
-        let (headers, body) = read_headers_and_body(reader)?;
+        let mut body = vec![0u8; declared_content_length(&headers)?];
+        reader.read_exact(&mut body)?;
         Ok(Response {
             status: Status::from_code(code),
             headers,
@@ -502,27 +516,11 @@ impl Response {
 
     /// A `400 Bad Request` carrying a minimal SOAP fault envelope, written
     /// to a client whose bytes consumed off the wire failed to parse as a
-    /// request. The wire crate cannot depend on the soap crate (the
-    /// dependency runs the other way), so the envelope is assembled
-    /// inline; it parses as a client fault through `soap::Envelope`.
+    /// request; it parses as a client fault through `soap::Envelope`.
     pub fn bad_request_fault(detail: &str) -> Response {
-        let msg = xml_escape_text(detail);
-        let body = format!(
-            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
-             <SOAP-ENV:Envelope xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\">\
-             <SOAP-ENV:Body><SOAP-ENV:Fault>\
-             <faultcode>SOAP-ENV:Client</faultcode>\
-             <faultstring>malformed HTTP request: {msg}</faultstring>\
-             </SOAP-ENV:Fault></SOAP-ENV:Body></SOAP-ENV:Envelope>"
-        );
-        Response {
-            status: Status::BadRequest,
-            headers: vec![
-                ("Content-Type".into(), "text/xml; charset=utf-8".into()),
-                ("Connection".into(), "close".into()),
-            ],
-            body: body.into_bytes(),
-        }
+        let reason = format!("malformed HTTP request: {}", xml_escape_text(detail));
+        soap_fault(Status::BadRequest, "SOAP-ENV:Client", &reason, "")
+            .with_header("Connection", "close")
     }
 
     /// A `503 Service Unavailable` load-shed fault: the server refused the
@@ -549,31 +547,38 @@ impl Response {
     /// Shared body builder for the admission faults. `retry_after_ms == 0`
     /// means "no retry hint" (the deadline case).
     fn admission_fault(code: &str, summary: &str, detail: &str, retry_after_ms: u64) -> Response {
-        let msg = xml_escape_text(detail);
-        let body = format!(
-            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
-             <SOAP-ENV:Envelope xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\">\
-             <SOAP-ENV:Body><SOAP-ENV:Fault>\
-             <faultcode>SOAP-ENV:Server</faultcode>\
-             <faultstring>{summary}: {msg}</faultstring>\
-             <detail><portalError><code>{code}</code>\
-             <message>{summary}: {msg}</message></portalError></detail>\
-             </SOAP-ENV:Fault></SOAP-ENV:Body></SOAP-ENV:Envelope>"
+        let msg = format!("{summary}: {}", xml_escape_text(detail));
+        let detail = format!(
+            "<detail><portalError><code>{code}</code><message>{msg}</message></portalError></detail>"
         );
-        let mut resp = Response {
-            status: Status::ServiceUnavailable,
-            headers: vec![("Content-Type".into(), "text/xml; charset=utf-8".into())],
-            body: body.into_bytes(),
-        };
-        if retry_after_ms > 0 {
-            resp = resp
-                .with_header(
-                    RETRY_AFTER_HEADER,
-                    retry_after_ms.div_ceil(1000).to_string(),
-                )
-                .with_header(RETRY_AFTER_MS_HEADER, retry_after_ms.to_string());
+        let resp = soap_fault(Status::ServiceUnavailable, "SOAP-ENV:Server", &msg, &detail);
+        if retry_after_ms == 0 {
+            return resp;
         }
-        resp
+        resp.with_header(
+            RETRY_AFTER_HEADER,
+            retry_after_ms.div_ceil(1000).to_string(),
+        )
+        .with_header(RETRY_AFTER_MS_HEADER, retry_after_ms.to_string())
+    }
+}
+
+/// An XML response carrying a SOAP fault envelope. The wire crate cannot
+/// depend on the soap crate (the dependency runs the other way), so the
+/// envelope is assembled inline; `detail` is inserted verbatim.
+fn soap_fault(status: Status, faultcode: &str, faultstring: &str, detail: &str) -> Response {
+    let body = format!(
+        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
+         <SOAP-ENV:Envelope xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\">\
+         <SOAP-ENV:Body><SOAP-ENV:Fault>\
+         <faultcode>{faultcode}</faultcode>\
+         <faultstring>{faultstring}</faultstring>{detail}\
+         </SOAP-ENV:Fault></SOAP-ENV:Body></SOAP-ENV:Envelope>"
+    );
+    Response {
+        status,
+        headers: vec![("Content-Type".into(), "text/xml; charset=utf-8".into())],
+        body: body.into_bytes(),
     }
 }
 
@@ -611,30 +616,28 @@ fn header_lookup<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h 
 /// it would turn one header into an arbitrary allocation.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
-/// Headers plus body, as read off the wire.
-type HeadersAndBody = (Vec<(String, String)>, Vec<u8>);
+fn head_too_long() -> WireError {
+    WireError::BadFrame(format!(
+        "message head exceeds the {MAX_HEAD_BYTES}-byte cap"
+    ))
+}
 
-fn read_headers_and_body(reader: &mut impl BufRead) -> Result<HeadersAndBody> {
+/// Split a complete message head (terminator included) into its start
+/// line and header list — the one header parser for requests and
+/// responses.
+fn parse_head(head: &[u8]) -> Result<(&str, Vec<(String, String)>)> {
+    let head = std::str::from_utf8(head)
+        .map_err(|_| WireError::BadFrame("message head is not UTF-8".into()))?;
+    let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
+    let start = lines.next().unwrap_or_default();
     let mut headers = Vec::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(WireError::BadFrame("eof before end of headers".into()));
-        }
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.is_empty() {
-            break;
-        }
+    for line in lines.filter(|l| !l.is_empty()) {
         let (k, v) = line
             .split_once(':')
             .ok_or_else(|| WireError::BadFrame(format!("malformed header line {line:?}")))?;
         headers.push((k.trim().to_owned(), v.trim().to_owned()));
     }
-    let len = declared_content_length(&headers)?;
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    Ok((headers, body))
+    Ok((start, headers))
 }
 
 /// Validated body length from a parsed header list. Rejects duplicate
@@ -642,9 +645,7 @@ fn read_headers_and_body(reader: &mut impl BufRead) -> Result<HeadersAndBody> {
 /// "the first match" while a peer or proxy takes the other is the
 /// request-smuggling shape, and our own serializers never emit more than
 /// one. Also rejects unparseable values and declarations over
-/// [`MAX_BODY_BYTES`] *before* any allocation. Shared by the blocking
-/// reader and the incremental [`RequestParser`], so both server arms
-/// enforce identical framing rules.
+/// [`MAX_BODY_BYTES`] *before* any allocation.
 fn declared_content_length(headers: &[(String, String)]) -> Result<usize> {
     let mut declared: Option<&str> = None;
     for (k, v) in headers {
@@ -1104,6 +1105,93 @@ mod tests {
         use super::*;
         use proptest::collection::vec as pvec;
         use proptest::prelude::*;
+
+        /// Feed `chunks` one after another, draining complete requests
+        /// after each feed: the requests in order, then the first error.
+        fn parse_chunks<'a>(
+            chunks: impl IntoIterator<Item = &'a [u8]>,
+        ) -> (Vec<Request>, Option<String>) {
+            let mut parser = RequestParser::new();
+            let mut parsed = Vec::new();
+            for chunk in chunks {
+                parser.feed(chunk);
+                loop {
+                    match parser.try_next() {
+                        Ok(Some(req)) => parsed.push(req),
+                        Ok(None) => break,
+                        Err(e) => return (parsed, Some(e.to_string())),
+                    }
+                }
+            }
+            (parsed, None)
+        }
+
+        /// A valid request followed by one of: nothing, two pipelined
+        /// requests, a malformed header, duplicate Content-Length, or a
+        /// terminated head ending `pad - 41` bytes past [`MAX_HEAD_BYTES`].
+        fn stream(kind: usize, body: &[u8], pad: usize) -> Vec<u8> {
+            let valid = |path: &str| {
+                Request::post(path, body.to_vec())
+                    .with_header("X-K", "v")
+                    .to_bytes()
+            };
+            let tail: Vec<u8> = match kind {
+                0 => Vec::new(),
+                1 => [valid("/two"), valid("/three")].concat(),
+                2 => b"POST /bad HTTP/1.0\r\nno colon here\r\n\r\n".to_vec(),
+                3 => b"POST /dup HTTP/1.0\r\nContent-Length: 1\r\ncontent-length: 1\r\n\r\nxy"
+                    .to_vec(),
+                _ => {
+                    let mut head = b"POST /big HTTP/1.0\r\nX-Pad: ".to_vec();
+                    head.resize(MAX_HEAD_BYTES - 64 + pad, b'a');
+                    head.extend_from_slice(b"\r\nContent-Length: 0\r\n\r\n");
+                    head
+                }
+            };
+            [valid("/one"), tail].concat()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn parser_verdict_is_split_independent(
+                kind in 0usize..5,
+                body in pvec(any::<u8>(), 0..48),
+                pad in 0usize..128,
+            ) {
+                let bytes = stream(kind, &body, pad);
+                let whole = parse_chunks([&bytes[..]]);
+                if kind < 4 {
+                    prop_assert!(!whole.0.is_empty(), "leading request parses: {whole:?}");
+                }
+                if kind == 2 || kind == 3 {
+                    prop_assert!(whole.1.is_some(), "malformed tail must error");
+                }
+                if kind == 4 {
+                    // The long head ends at MAX_HEAD_BYTES - 41 + pad.
+                    prop_assert_eq!(whole.1.is_some(), pad > 41, "{:?}", whole.1);
+                }
+                // Every offset on short streams; on the long-head streams
+                // the start, a stride through the pad, and the tail where
+                // the terminator and the cap sit.
+                let offsets: Vec<usize> = if bytes.len() <= 2048 {
+                    (0..=bytes.len()).collect()
+                } else {
+                    (0..64)
+                        .chain((0..bytes.len()).step_by(4099))
+                        .chain(bytes.len() - 192..=bytes.len())
+                        .collect()
+                };
+                for at in offsets {
+                    let split = parse_chunks([&bytes[..at], &bytes[at..]]);
+                    prop_assert_eq!(&split, &whole, "split at {}", at);
+                }
+                if bytes.len() <= 2048 {
+                    prop_assert_eq!(parse_chunks(bytes.chunks(1)), whole);
+                }
+            }
+        }
 
         proptest! {
             #[test]

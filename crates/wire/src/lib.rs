@@ -9,11 +9,16 @@
 //!
 //! * [`http`] — minimal HTTP/1.0-style request/response framing, with an
 //!   incremental [`http::RequestParser`] for nonblocking reads.
-//! * [`server`] — a thread-pooled TCP server with a path [`server::Router`].
+//! * [`server`] — [`server::HttpServer`], one way to start a server on
+//!   either arm ([`server::ServerConfig`]), a path [`server::Router`], and
+//!   the blocking arm's thread-pooled driver.
 //! * [`reactor`] — the epoll arm of the same server: each worker thread
 //!   drives many nonblocking connections through readiness-driven state
 //!   machines, so idle keep-alive connections park instead of pinning a
 //!   worker. The blocking arm stays as the ablation baseline.
+//! * `dispatch` — the request pipeline both arms run per request:
+//!   deadline admission, the handler, serialisation, exchange accounting
+//!   and the server chaos hook.
 //! * [`transport`] — the client-side [`Transport`] abstraction with two
 //!   implementations: a real [`transport::HttpTransport`] (one connection
 //!   per call, as in 2002) and an [`transport::InMemoryTransport`] that
@@ -33,6 +38,7 @@
 
 pub mod arc_cell;
 pub mod chaos;
+mod dispatch;
 pub mod http;
 pub mod pool;
 pub mod reactor;
@@ -53,7 +59,7 @@ pub use pool::{
     Deadline, Pool, PoolConfig, PooledTransport, RetryPolicy, CACHE_FILL_HEADER, DEADLINE_HEADER,
     IDEMPOTENT_HEADER,
 };
-pub use server::{Handler, HttpServer, Router, ServerConfig, ServerHandle};
+pub use server::{Handler, HttpServer, Router, ServerArm, ServerConfig, ServerHandle};
 pub use stats::{ChaosClass, StatsSnapshot, WireStats};
 pub use transport::{HttpTransport, InMemoryTransport, Transport};
 

@@ -703,7 +703,11 @@ mod tests {
         });
         let starter = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            HttpServer::start_on(addr, upper_handler(), 2)
+            let config = crate::server::ServerConfig {
+                addr,
+                ..crate::server::ServerConfig::with_workers(2)
+            };
+            HttpServer::start_with(upper_handler(), config, None)
         });
         let resp = t.round_trip(Request::get("/x")).unwrap();
         assert_eq!(resp.status, Status::Ok);

@@ -2,15 +2,16 @@
 //!
 //! The blocking server pins one worker thread per live connection — an
 //! idle keep-alive connection occupies a worker for its whole lifetime
-//! (busy-polling `peek` at 100 ms granularity), so closed-loop throughput
-//! goes flat as soon as connections outnumber workers. This module
-//! removes the pin: each worker thread owns an epoll instance and drives
-//! *every* connection assigned to it through a nonblocking state machine,
-//! so one worker sustains thousands of parked keep-alive connections.
+//! (a blocking read that wakes every 100 ms only to poll for shutdown),
+//! so closed-loop throughput goes flat as soon as connections outnumber
+//! workers. This module removes the pin: each worker thread owns an epoll
+//! instance and drives *every* connection assigned to it through a
+//! nonblocking state machine, so one worker sustains thousands of parked
+//! keep-alive connections.
 //!
 //! Connection lifecycle (`Accepted → ReadingHead → ReadingBody → Handling
 //! → Writing → Idle`): the reading states live inside the connection's
-//! [`RequestParser`], handling is the synchronous [`Handler`] call, and
+//! request parser, handling is the shared `wire::dispatch` pipeline, and
 //! writing drains the connection's serialize scratch through nonblocking
 //! writes (registering `EPOLLOUT` only while bytes are pending). The
 //! buffer-ownership rule from E11 — *scratch moves with the connection,
@@ -25,33 +26,29 @@
 //! syscall surface instead of a crate). Everything else — nonblocking
 //! sockets, accept, read, write — is std.
 //!
-//! Semantics carried over from the blocking arm and pinned by tests:
+//! Behaviour specific to the reactor, pinned by tests:
 //!
 //! * **Shutdown** joins promptly even with idle connections parked: the
 //!   `ServerHandle::stop` poke wakes the listener in every worker's
 //!   epoll, and the wait also times out at [`IDLE_POLL_MS`] as backstop.
 //! * **Pipelining**: bytes beyond the current request stay in the parser
-//!   and are served before the reactor returns to `epoll_wait` — the
-//!   reactor's equivalent of `read_from_buffered`'s peek gating.
-//! * **`ServerChaos`**: the post-handler hook applies per response. The
-//!   blocking arm *sleeps* for `Delay`; a reactor worker must never
-//!   sleep, so a delayed connection is parked with its response held in
-//!   the serialize scratch until the deadline, while other connections
-//!   keep being served.
-//! * **Malformed requests** answer a `400` SOAP fault and close; a clean
-//!   EOF (or the shutdown poke) before any byte closes quietly.
+//!   and are served before the reactor returns to `epoll_wait`.
+//! * **Chaos `Delay`**: the blocking arm *sleeps*; a reactor worker must
+//!   never sleep, so a delayed connection is parked with its response
+//!   held in the serialize scratch until the deadline, while other
+//!   connections keep being served.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::chaos::{cut_inside, ServerChaos, ServerFault};
-use crate::http::{wants_keep_alive, RequestParser, Response};
-use crate::server::{admit_deadline, Handler, ServerConfig, ServerHandle};
-use crate::stats::WireStats;
+use crate::dispatch::{Inbox, Pipeline};
+use crate::http::Response;
+use crate::server::ServerConfig;
 use crate::Result;
 
 /// Raw epoll bindings. The symbols live in the libc the binary is linked
@@ -145,55 +142,38 @@ impl Epoll {
     }
 }
 
-/// What a connection is doing, beyond what the parser/buffers encode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnState {
-    /// Reading/handling/writing as bytes allow (the common state; the
-    /// fine-grained ReadingHead/ReadingBody distinction lives in the
-    /// parser, Writing in the non-empty serialize scratch).
-    Open,
-    /// Chaos-delayed: the serialized response is held in the scratch
-    /// until `Instant`; no reads are processed while parked.
-    Delayed(Instant),
-}
-
 /// One connection's state machine. Both buffers — the parser's read
 /// scratch and the serialize scratch — are owned here, so they move with
 /// the connection and are reused across every keep-alive request it
 /// carries, regardless of which readiness event wakes it.
 struct Conn {
     stream: TcpStream,
-    parser: RequestParser,
+    /// Request parser (the read scratch) and deadline anchors.
+    inbox: Inbox,
     /// Response serialize scratch; cleared (capacity kept) once drained.
     out: Vec<u8>,
     /// How much of `out` has been written so far.
     out_pos: usize,
-    state: ConnState,
-    keep_alive: bool,
+    /// Chaos-delayed: the serialized response is held in `out` until
+    /// this instant, and no reads are processed while parked.
+    delayed_until: Option<Instant>,
     /// Close once `out` drains (non-keep-alive, chaos drop/truncate, or a
     /// 400 answer).
     close_after_flush: bool,
     /// Whether the current epoll registration includes `EPOLLOUT`.
     armed_for_write: bool,
-    /// When the bytes of the request currently being assembled started
-    /// arriving — the anchor the deadline budget is charged from. Reset
-    /// whenever bytes land in an empty parser, so idle keep-alive time is
-    /// never billed to the next request.
-    arrival: Instant,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            parser: RequestParser::new(),
+            inbox: Inbox::new(),
             out: Vec::new(),
             out_pos: 0,
-            state: ConnState::Open,
-            keep_alive: false,
+            delayed_until: None,
             close_after_flush: false,
             armed_for_write: false,
-            arrival: Instant::now(),
         }
     }
 
@@ -211,57 +191,51 @@ enum Verdict {
     Close,
 }
 
-/// Start the reactor server: binds `addr` and spawns `workers` reactor
-/// threads, each owning an epoll instance. The shared listener is
+/// Spawn the reactor arm's `config.workers` threads on a bound
+/// listener, each owning an epoll instance. The shared listener is
 /// registered in every worker's epoll (level-triggered), so any worker
 /// can accept; an accepted connection stays with its worker for life.
-pub(crate) fn start(
-    addr: impl std::net::ToSocketAddrs,
-    handler: Arc<dyn Handler>,
+pub(crate) fn spawn(
+    listener: TcpListener,
+    pipeline: Pipeline,
     config: ServerConfig,
-    chaos: Option<Arc<dyn ServerChaos>>,
-) -> Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
+    shutdown: Arc<AtomicBool>,
+) -> Result<Vec<JoinHandle<()>>> {
     listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(WireStats::new());
-
-    let worker_handles = (0..config.workers.max(1))
+    Ok((0..config.workers.max(1))
         .map(|_| {
             let listener = listener.try_clone();
-            let handler = Arc::clone(&handler);
-            let stats = Arc::clone(&stats);
+            let pipeline = pipeline.clone();
             let shutdown = Arc::clone(&shutdown);
-            let chaos = chaos.clone();
             std::thread::spawn(move || {
                 let Ok(listener) = listener else { return };
-                let mut worker = Worker::new(listener, handler, stats, shutdown, chaos, config);
+                let mut worker = Worker {
+                    listener,
+                    pipeline,
+                    shutdown,
+                    config,
+                    conns: Vec::new(),
+                    free: Vec::new(),
+                    delayed: 0,
+                    open: 0,
+                    listener_paused: false,
+                    dispatched: 0,
+                };
                 worker.run();
             })
         })
-        .collect();
-
-    Ok(ServerHandle::from_parts(
-        addr,
-        shutdown,
-        None,
-        worker_handles,
-        stats,
-    ))
+        .collect())
 }
 
 /// One reactor thread: epoll instance + connection slab.
 struct Worker {
     listener: TcpListener,
-    handler: Arc<dyn Handler>,
-    stats: Arc<WireStats>,
+    pipeline: Pipeline,
     shutdown: Arc<AtomicBool>,
-    chaos: Option<Arc<dyn ServerChaos>>,
     config: ServerConfig,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Number of connections currently in `ConnState::Delayed` (skip the
+    /// Number of connections currently chaos-delayed (skip the
     /// slab scan entirely while zero — the overwhelmingly common case).
     delayed: usize,
     /// Live connections this worker owns (`conns` occupancy).
@@ -279,30 +253,6 @@ struct Worker {
 const LISTENER_TOKEN: u64 = 0;
 
 impl Worker {
-    fn new(
-        listener: TcpListener,
-        handler: Arc<dyn Handler>,
-        stats: Arc<WireStats>,
-        shutdown: Arc<AtomicBool>,
-        chaos: Option<Arc<dyn ServerChaos>>,
-        config: ServerConfig,
-    ) -> Worker {
-        Worker {
-            listener,
-            handler,
-            stats,
-            shutdown,
-            chaos,
-            config,
-            conns: Vec::new(),
-            free: Vec::new(),
-            delayed: 0,
-            open: 0,
-            listener_paused: false,
-            dispatched: 0,
-        }
-    }
-
     // portalint: reactor-entry
     fn run(&mut self) {
         let Ok(epoll) = Epoll::new() else { return };
@@ -357,7 +307,7 @@ impl Worker {
         let now = Instant::now();
         let mut timeout = IDLE_POLL_MS;
         for conn in self.conns.iter().flatten() {
-            if let ConnState::Delayed(until) = conn.state {
+            if let Some(until) = conn.delayed_until {
                 let ms = until.saturating_duration_since(now).as_millis() as i32;
                 timeout = timeout.min(ms.max(1));
             }
@@ -377,7 +327,7 @@ impl Worker {
                         .is_ok()
                 {
                     self.listener_paused = true;
-                    self.stats.record_listener_pause();
+                    self.pipeline.stats.record_listener_pause();
                 }
                 return;
             }
@@ -388,7 +338,7 @@ impl Worker {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    self.stats.record_connection();
+                    self.pipeline.stats.record_connection();
                     let conn = Conn::new(stream);
                     let slot = match self.free.pop() {
                         Some(slot) => slot,
@@ -409,7 +359,7 @@ impl Worker {
                     if let Some(entry) = self.conns.get_mut(slot) {
                         *entry = Some(conn);
                         self.open += 1;
-                        self.stats.record_conn_open();
+                        self.pipeline.stats.record_conn_open();
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -444,11 +394,11 @@ impl Worker {
     }
 
     fn close(&mut self, epoll: &Epoll, slot: usize, conn: Conn) {
-        if matches!(conn.state, ConnState::Delayed(_)) {
+        if conn.delayed_until.is_some() {
             self.delayed = self.delayed.saturating_sub(1);
         }
         let _ = epoll.ctl(sys::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
-        self.stats.record_conn_close();
+        self.pipeline.stats.record_conn_close();
         self.free.push(slot);
         self.open = self.open.saturating_sub(1);
         // A close frees a slot below the cap: resume accepting.
@@ -470,7 +420,7 @@ impl Worker {
 
     /// Keep the epoll registration in sync with write interest.
     fn rearm(&self, epoll: &Epoll, slot: usize, conn: &mut Conn) -> std::io::Result<()> {
-        let want_write = conn.has_pending_write() && !matches!(conn.state, ConnState::Delayed(_));
+        let want_write = conn.has_pending_write() && conn.delayed_until.is_none();
         if want_write == conn.armed_for_write {
             return Ok(());
         }
@@ -514,7 +464,7 @@ impl Worker {
     fn fill(&mut self, conn: &mut Conn, read_chunk: &mut [u8]) -> Verdict {
         // A parked (chaos-delayed) connection reads nothing: back-pressure
         // mirrors the blocking arm, which sleeps before writing.
-        if matches!(conn.state, ConnState::Delayed(_)) {
+        if conn.delayed_until.is_some() {
             return Verdict::Keep;
         }
         loop {
@@ -524,21 +474,17 @@ impl Worker {
                     // Peer closed. Clean EOF (no partial request buffered,
                     // e.g. the shutdown poke or an idle keep-alive hangup)
                     // closes quietly; a half-sent request is malformed.
-                    if !conn.parser.is_empty() {
-                        self.answer_bad_request(conn, "connection closed mid-request");
+                    if !conn.inbox.is_empty() {
+                        self.pipeline
+                            .bad_request("connection closed mid-request", &mut conn.out);
                         // The peer is gone; flush is best-effort.
                         let _ = self.flush(conn);
                     }
                     return Verdict::Close;
                 }
                 Ok(n) => {
-                    if conn.parser.is_empty() {
-                        // First bytes of a fresh request: (re)anchor the
-                        // deadline clock here, not at connection accept.
-                        conn.arrival = Instant::now();
-                    }
                     if let Some(chunk) = read_chunk.get(..n) {
-                        conn.parser.feed(chunk);
+                        conn.inbox.feed(chunk, Instant::now());
                     }
                     if n < read_chunk.len() {
                         return Verdict::Keep; // drained the socket
@@ -555,118 +501,55 @@ impl Worker {
     /// return to `epoll_wait` while a full request is waiting in memory).
     fn serve_buffered(&mut self, conn: &mut Conn) -> Verdict {
         loop {
-            if conn.close_after_flush || matches!(conn.state, ConnState::Delayed(_)) {
+            if conn.close_after_flush || conn.delayed_until.is_some() {
                 return Verdict::Keep;
             }
-            match conn.parser.try_next() {
-                Ok(Some(mut req)) => {
-                    conn.keep_alive = wants_keep_alive(req.header("Connection"));
-                    // Admission before dispatch, cheapest check first: the
-                    // per-cycle dispatch budget (the reactor's analogue of
-                    // the blocking arm's accept queue), then the deadline
-                    // budget. A shed is not a dispatch: it skips the
-                    // exchange counters and the chaos hook, and keeps the
-                    // connection alive (the client is told to retry, not
-                    // hung up on).
-                    let shed = self.admit(conn, &mut req);
-                    let was_shed = shed.is_some();
-                    let resp = match shed {
-                        Some(fault) => fault,
-                        None => {
-                            self.dispatched += 1;
-                            self.stats.record_queue_depth(self.dispatched as u64);
-                            self.handler.handle(&req)
-                        }
-                    };
-                    let frame_start = conn.out.len();
-                    let cap_before = conn.out.capacity();
-                    resp.write_into(&mut conn.out);
-                    if conn.out.capacity() > cap_before {
-                        self.stats.record_scratch_growth();
+            match conn.inbox.next_request() {
+                Ok(Some((req, arrival))) => {
+                    let shed = self.budget_shed();
+                    let outcome = self.pipeline.dispatch(req, arrival, shed, &mut conn.out);
+                    if outcome.ran {
+                        self.dispatched += 1;
+                        self.pipeline
+                            .stats
+                            .record_queue_depth(self.dispatched as u64);
                     }
-                    self.stats
-                        .record_scratch_high_water(conn.out.capacity() as u64);
-                    if !was_shed {
-                        self.stats
-                            .record_exchange(conn.out.len() - frame_start, req.wire_len());
-                        self.apply_chaos(conn, &req, frame_start);
+                    if let Some(delay) = outcome.delay {
+                        conn.delayed_until = Some(Instant::now() + delay);
+                        self.delayed += 1;
                     }
-                    if !conn.keep_alive {
-                        conn.close_after_flush = true;
-                    }
+                    conn.close_after_flush = !outcome.keep_alive;
                 }
                 Ok(None) => return Verdict::Keep,
                 Err(e) => {
-                    self.answer_bad_request(conn, &e.to_string());
+                    self.pipeline.bad_request(&e.to_string(), &mut conn.out);
+                    conn.close_after_flush = true;
                     return Verdict::Keep; // close happens after the flush
                 }
             }
         }
     }
 
-    /// Admission control for one parsed request: returns the shed fault
-    /// to answer with, or `None` to dispatch. Order matters — the dispatch
-    /// budget is checked before the deadline so an overloaded worker sheds
-    /// without even reading header values.
-    fn admit(&mut self, conn: &mut Conn, req: &mut crate::http::Request) -> Option<Response> {
-        if let Some(budget) = self.config.queue_cap {
-            if self.dispatched >= budget {
-                self.stats.record_shed_queue_full();
-                return Some(Response::shed_fault(
-                    &format!("dispatch budget ({budget}) spent this cycle"),
-                    self.config.shed_retry_after_ms,
-                ));
-            }
+    /// The per-cycle dispatch budget, the reactor's analogue of the
+    /// blocking arm's accept queue: with `config.queue_cap: Some(n)`, a
+    /// request parsed after `n` dispatches in one epoll cycle is shed.
+    /// A shed keeps the connection alive (the client is told to retry,
+    /// not hung up on).
+    fn budget_shed(&self) -> Option<Response> {
+        let budget = self.config.queue_cap?;
+        if self.dispatched < budget {
+            return None;
         }
-        admit_deadline(req, conn.arrival, &self.stats)
-    }
-
-    /// The post-handler `ServerChaos` hook, translated to reactor terms:
-    /// `Drop` discards the just-serialized frame, `Truncate` cuts it
-    /// mid-frame (both then close), and `Delay` parks the connection with
-    /// the frame held in scratch instead of sleeping on the worker.
-    fn apply_chaos(&mut self, conn: &mut Conn, req: &crate::http::Request, frame_start: usize) {
-        let Some(chaos) = self.chaos.as_deref() else {
-            return;
-        };
-        match chaos.decide(req) {
-            ServerFault::Deliver => {}
-            ServerFault::Drop => {
-                self.stats.record_chaos(crate::stats::ChaosClass::Drop);
-                conn.out.truncate(frame_start);
-                conn.close_after_flush = true;
-            }
-            ServerFault::Delay(d) => {
-                self.stats.record_chaos(crate::stats::ChaosClass::Delay);
-                conn.state = ConnState::Delayed(Instant::now() + d);
-                self.delayed += 1;
-            }
-            ServerFault::Truncate(unit) => {
-                self.stats
-                    .record_chaos(crate::stats::ChaosClass::Truncation);
-                let frame_len = conn.out.len() - frame_start;
-                let cut = cut_inside(frame_len, unit);
-                conn.out.truncate(frame_start + cut);
-                conn.close_after_flush = true;
-            }
-        }
-    }
-
-    /// Queue the 400 SOAP fault for a request that consumed bytes but
-    /// could not parse, and mark the connection to close once it drains.
-    fn answer_bad_request(&mut self, conn: &mut Conn, detail: &str) {
-        self.stats.record_bad_request();
-        let cap_before = conn.out.capacity();
-        Response::bad_request_fault(detail).write_into(&mut conn.out);
-        if conn.out.capacity() > cap_before {
-            self.stats.record_scratch_growth();
-        }
-        conn.close_after_flush = true;
+        self.pipeline.stats.record_shed_queue_full();
+        Some(Response::shed_fault(
+            &format!("dispatch budget ({budget}) spent this cycle"),
+            self.config.shed_retry_after_ms,
+        ))
     }
 
     /// Drain the serialize scratch as far as the socket accepts.
     fn flush(&mut self, conn: &mut Conn) -> Verdict {
-        if matches!(conn.state, ConnState::Delayed(_)) {
+        if conn.delayed_until.is_some() {
             return Verdict::Keep; // response held until the delay expires
         }
         while conn.has_pending_write() {
@@ -699,13 +582,13 @@ impl Worker {
         for slot in 0..self.conns.len() {
             let expired = matches!(
                 self.conns.get(slot),
-                Some(Some(conn)) if matches!(conn.state, ConnState::Delayed(until) if until <= now)
+                Some(Some(conn)) if conn.delayed_until.is_some_and(|until| until <= now)
             );
             if !expired {
                 continue;
             }
             if let Some(Some(conn)) = self.conns.get_mut(slot) {
-                conn.state = ConnState::Open;
+                conn.delayed_until = None;
             }
             self.delayed = self.delayed.saturating_sub(1);
             // Readable too: bytes may have queued while parked.
@@ -717,13 +600,21 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ServerChaos;
     use crate::http::{Request, Status};
-    use crate::server::HttpServer;
+    use crate::server::{Handler, HttpServer, ServerArm};
     use std::io::BufReader;
     use std::time::Duration;
 
     fn echo_handler() -> Arc<dyn Handler> {
         Arc::new(|req: &Request| Response::ok("text/plain", req.body.clone()))
+    }
+
+    fn reactor_config(workers: usize) -> ServerConfig {
+        ServerConfig {
+            arm: ServerArm::Reactor,
+            ..ServerConfig::with_workers(workers)
+        }
     }
 
     /// Current thread count of this process (Linux).
@@ -980,7 +871,8 @@ mod tests {
             max_delay_ms: 2,
         };
         let chaos = Arc::new(SeededServerChaos::new(0x5EED, cfg));
-        let server = HttpServer::start_reactor_chaotic(echo_handler(), 2, chaos).unwrap();
+        let server =
+            HttpServer::start_with(echo_handler(), reactor_config(2), Some(chaos)).unwrap();
         let addr = server.addr();
         let n = 40;
         let mut failures = 0u64;
@@ -1023,7 +915,8 @@ mod tests {
             }
         }
         let server =
-            HttpServer::start_reactor_chaotic(echo_handler(), 1, Arc::new(SlowPath)).unwrap();
+            HttpServer::start_with(echo_handler(), reactor_config(1), Some(Arc::new(SlowPath)))
+                .unwrap();
         let addr = server.addr();
         let mut slow = TcpStream::connect(addr).unwrap();
         slow.write_all(&Request::post("/slow", "delayed").to_bytes())
@@ -1050,13 +943,11 @@ mod tests {
         // every connection grew the slab. With a cap, the extra connection
         // must park unaccepted in the kernel backlog (no reply) until an
         // admitted connection closes, then be served.
-        use crate::server::ServerConfig;
         let config = ServerConfig {
-            workers: 1,
             max_connections: 2,
-            ..ServerConfig::default()
+            ..reactor_config(1)
         };
-        let server = HttpServer::start_reactor_tuned(echo_handler(), config).unwrap();
+        let server = HttpServer::start_with(echo_handler(), config, None).unwrap();
         let addr = server.addr();
         // Fill the cap with two parked keep-alive connections.
         let mut held = Vec::new();
@@ -1110,14 +1001,12 @@ mod tests {
         // requests are served correctly, the excess get well-formed BUSY
         // faults with retry hints on the same keep-alive connection.
         use crate::http::{RETRY_AFTER_HEADER, RETRY_AFTER_MS_HEADER};
-        use crate::server::ServerConfig;
         let config = ServerConfig {
-            workers: 1,
             queue_cap: Some(2),
             shed_retry_after_ms: 40,
-            ..ServerConfig::default()
+            ..reactor_config(1)
         };
-        let server = HttpServer::start_reactor_tuned(echo_handler(), config).unwrap();
+        let server = HttpServer::start_with(echo_handler(), config, None).unwrap();
         let conn = TcpStream::connect(server.addr()).unwrap();
         let n = 6;
         let mut burst = Vec::new();
@@ -1207,7 +1096,15 @@ mod tests {
         let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
         let addr = server.addr();
         server.shutdown();
-        let server = HttpServer::start_reactor_on(addr, echo_handler(), 1).unwrap();
+        let server = HttpServer::start_with(
+            echo_handler(),
+            ServerConfig {
+                addr,
+                ..reactor_config(1)
+            },
+            None,
+        )
+        .unwrap();
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.write_all(&Request::post("/x", "back").to_bytes())
             .unwrap();

@@ -6,32 +6,56 @@
 //! Provider, Authentication Service), each with its own [`Router`] mapping
 //! paths to [`Handler`]s.
 //!
-//! The design follows the classic fixed-worker-pool shape: an acceptor
-//! thread pushes connections into a crossbeam channel; `worker` threads pop
-//! and serve one request per connection (HTTP/1.0 semantics, as deployed in
-//! 2002).
+//! A server runs on one of two arms ([`ServerArm`]), both I/O drivers over
+//! the one request pipeline in `wire::dispatch`. This module holds the
+//! blocking arm: an acceptor thread pushes connections into a crossbeam
+//! channel and `worker` threads pop and serve one connection at a time
+//! (HTTP/1.0 semantics, as deployed in 2002, with keep-alive as the
+//! ablation).
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::RwLock;
 
-use crate::chaos::{apply_server_fault, ServerChaos, ServerFault};
-use crate::http::{wants_keep_alive, Request, Response, Status};
-use crate::pool::DEADLINE_HEADER;
+use crate::chaos::ServerChaos;
+use crate::dispatch::{Inbox, Pipeline};
+use crate::http::{Request, Response, Status};
 use crate::stats::WireStats;
 use crate::Result;
 
-/// Admission-control tuning shared by both server arms. The defaults
-/// reproduce the historical behavior (blocking-send backpressure, a
-/// generous connection cap) so existing constructors stay bit-compatible;
-/// production deployments pass explicit bounds via
-/// [`HttpServer::start_tuned`] / [`HttpServer::start_reactor_tuned`].
+/// Server concurrency regime. The blocking arm is the thread-per-connection
+/// pool the 2002 servers ran; the reactor arm drives all connections per
+/// worker through epoll state machines, so idle keep-alive sessions park
+/// instead of pinning worker threads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ServerArm {
+    /// Fixed worker pool, one blocking connection per worker at a time
+    /// (the ablation baseline).
+    #[default]
+    Blocking,
+    /// Epoll reactor: each worker multiplexes many nonblocking
+    /// connections ([`crate::reactor`]).
+    Reactor,
+}
+
+/// How to run a server: arm, address, workers and admission bounds. The
+/// defaults are the blocking arm on an ephemeral localhost port with
+/// blocking-send backpressure and a generous connection cap; production
+/// deployments set explicit bounds and pass the config to
+/// [`HttpServer::start_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
+    /// Which I/O driver serves the connections.
+    pub arm: ServerArm,
+    /// Address to bind (port 0 picks an ephemeral port; tests restart a
+    /// server on a port a client already knows by naming it here).
+    pub addr: SocketAddr,
     /// Worker threads (both arms).
     pub workers: usize,
     /// Admission queue bound. Blocking arm: capacity of the
@@ -54,6 +78,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
+            arm: ServerArm::Blocking,
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             workers: 2,
             queue_cap: None,
             max_connections: 4096,
@@ -138,31 +164,13 @@ impl Handler for Router {
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Every server thread, joined in order (the blocking arm's acceptor
+    /// first).
+    threads: Vec<JoinHandle<()>>,
     stats: Arc<WireStats>,
 }
 
 impl ServerHandle {
-    /// Assemble a handle from already-spawned threads (the reactor arm
-    /// builds its own workers but shares the handle's shutdown protocol:
-    /// flag + wake-up poke + join).
-    pub(crate) fn from_parts(
-        addr: SocketAddr,
-        shutdown: Arc<AtomicBool>,
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-        stats: Arc<WireStats>,
-    ) -> ServerHandle {
-        ServerHandle {
-            addr,
-            shutdown,
-            acceptor,
-            workers,
-            stats,
-        }
-    }
-
     /// The bound address (use for clients).
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -184,10 +192,7 @@ impl ServerHandle {
         }
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
@@ -199,221 +204,157 @@ impl Drop for ServerHandle {
     }
 }
 
-/// The server: binds a listener and serves a [`Handler`] with a fixed
-/// worker pool.
+/// The server: binds a listener and serves a [`Handler`] on the arm and
+/// bounds a [`ServerConfig`] names.
 pub struct HttpServer;
 
 impl HttpServer {
-    /// Start serving `handler` on an ephemeral localhost port with
-    /// `workers` worker threads.
+    /// Blocking arm with `workers` threads on an ephemeral localhost port.
     pub fn start(handler: Arc<dyn Handler>, workers: usize) -> Result<ServerHandle> {
-        HttpServer::start_on("127.0.0.1:0", handler, workers)
+        HttpServer::start_with(handler, ServerConfig::with_workers(workers), None)
     }
 
-    /// Start serving `handler` on a specific address (tests use this to
-    /// restart a server on a port a client already knows).
-    pub fn start_on(
-        addr: impl std::net::ToSocketAddrs,
-        handler: Arc<dyn Handler>,
-        workers: usize,
-    ) -> Result<ServerHandle> {
-        HttpServer::start_inner(addr, handler, ServerConfig::with_workers(workers), None)
-    }
-
-    /// Start the blocking arm with explicit admission bounds (queue cap,
-    /// shed hint) instead of the legacy defaults.
-    pub fn start_tuned(handler: Arc<dyn Handler>, config: ServerConfig) -> Result<ServerHandle> {
-        HttpServer::start_inner("127.0.0.1:0", handler, config, None)
-    }
-
-    /// Blocking arm with admission bounds *and* the server-side chaos hook.
-    pub fn start_tuned_chaotic(
-        handler: Arc<dyn Handler>,
-        config: ServerConfig,
-        chaos: Arc<dyn ServerChaos>,
-    ) -> Result<ServerHandle> {
-        HttpServer::start_inner("127.0.0.1:0", handler, config, Some(chaos))
-    }
-
-    /// Start serving with a server-side chaos hook: `chaos` is consulted
-    /// per request after the handler runs and may drop, delay, or truncate
-    /// the response (the fault classes of `wire::chaos`).
-    pub fn start_chaotic(
-        handler: Arc<dyn Handler>,
-        workers: usize,
-        chaos: Arc<dyn ServerChaos>,
-    ) -> Result<ServerHandle> {
-        HttpServer::start_inner(
-            "127.0.0.1:0",
-            handler,
-            ServerConfig::with_workers(workers),
-            Some(chaos),
-        )
-    }
-
-    /// Start the epoll reactor arm (see [`crate::reactor`]): the same
-    /// handler contract, but each of the `workers` threads drives many
-    /// nonblocking connections through an epoll loop instead of blocking
-    /// on one connection at a time. The blocking [`HttpServer::start`]
-    /// path stays available as the ablation arm.
+    /// Reactor arm with `workers` threads on an ephemeral localhost port.
     pub fn start_reactor(handler: Arc<dyn Handler>, workers: usize) -> Result<ServerHandle> {
-        crate::reactor::start(
-            "127.0.0.1:0",
-            handler,
-            ServerConfig::with_workers(workers),
-            None,
-        )
+        let config = ServerConfig {
+            arm: ServerArm::Reactor,
+            ..ServerConfig::with_workers(workers)
+        };
+        HttpServer::start_with(handler, config, None)
     }
 
-    /// Reactor arm with explicit admission bounds (connection cap,
-    /// per-cycle dispatch budget, shed hint).
-    pub fn start_reactor_tuned(
-        handler: Arc<dyn Handler>,
-        config: ServerConfig,
-    ) -> Result<ServerHandle> {
-        crate::reactor::start("127.0.0.1:0", handler, config, None)
-    }
-
-    /// Reactor arm with admission bounds *and* the server-side chaos hook.
-    pub fn start_reactor_tuned_chaotic(
-        handler: Arc<dyn Handler>,
-        config: ServerConfig,
-        chaos: Arc<dyn ServerChaos>,
-    ) -> Result<ServerHandle> {
-        crate::reactor::start("127.0.0.1:0", handler, config, Some(chaos))
-    }
-
-    /// Reactor arm on a specific address (tests use this to restart a
-    /// server on a port a client already knows).
-    pub fn start_reactor_on(
-        addr: impl std::net::ToSocketAddrs,
-        handler: Arc<dyn Handler>,
-        workers: usize,
-    ) -> Result<ServerHandle> {
-        crate::reactor::start(addr, handler, ServerConfig::with_workers(workers), None)
-    }
-
-    /// Reactor arm with the server-side chaos hook (drop/delay/truncate
-    /// after the handler runs, as in [`HttpServer::start_chaotic`]).
-    pub fn start_reactor_chaotic(
-        handler: Arc<dyn Handler>,
-        workers: usize,
-        chaos: Arc<dyn ServerChaos>,
-    ) -> Result<ServerHandle> {
-        crate::reactor::start(
-            "127.0.0.1:0",
-            handler,
-            ServerConfig::with_workers(workers),
-            Some(chaos),
-        )
-    }
-
-    fn start_inner(
-        addr: impl std::net::ToSocketAddrs,
+    /// Start serving `handler` as `config` says. `chaos`, when given, is
+    /// consulted per dispatched request after the handler runs and may
+    /// drop, delay, or truncate the response (the fault classes of
+    /// `wire::chaos`).
+    pub fn start_with(
         handler: Arc<dyn Handler>,
         config: ServerConfig,
         chaos: Option<Arc<dyn ServerChaos>>,
     ) -> Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(WireStats::new());
-        let workers = config.workers;
-        // Bounded queue: with the legacy default (`queue_cap: None`) it
-        // applies back-pressure to the acceptor; with an explicit cap the
-        // acceptor sheds instead of blocking (below). Each item carries the
-        // accept instant so the deadline budget charges queue wait.
-        let cap = config.queue_cap.unwrap_or(workers.max(1) * 4);
-        type QueueItem = (TcpStream, std::time::Instant);
-        let (tx, rx): (Sender<QueueItem>, Receiver<QueueItem>) = bounded(cap);
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    stats.record_connection();
-                    let item = (stream, std::time::Instant::now());
-                    if config.queue_cap.is_none() {
-                        // Legacy arm: block until a worker frees a slot.
-                        if tx.send(item).is_err() {
-                            break;
-                        }
-                    } else {
-                        match tx.try_send(item) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full((stream, _))) => {
-                                // Admission control: answer a well-formed
-                                // shed fault with a retry hint instead of
-                                // letting the queue (and client latency)
-                                // grow without bound.
-                                stats.record_shed_queue_full();
-                                let fault = Response::shed_fault(
-                                    &format!("accept queue at capacity ({cap})"),
-                                    config.shed_retry_after_ms,
-                                )
-                                .with_header("Connection", "close");
-                                let _ = fault.write_to(&stream);
-                                continue;
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                    }
-                    stats.record_queue_depth(tx.len() as u64);
-                }
-            })
+        let pipeline = Pipeline {
+            handler,
+            stats: Arc::new(WireStats::new()),
+            chaos,
         };
-
-        let worker_handles = (0..workers.max(1))
-            .map(|_| {
-                let rx = rx.clone();
-                let handler = Arc::clone(&handler);
-                let stats = Arc::clone(&stats);
-                let shutdown = Arc::clone(&shutdown);
-                let chaos = chaos.clone();
-                std::thread::spawn(move || {
-                    // Per-worker scratch: the response serialize buffer
-                    // lives as long as the worker and is reused across
-                    // every connection (and keep-alive request) it serves.
-                    let mut scratch = WorkerScratch::default();
-                    while let Ok((stream, accepted)) = rx.recv() {
-                        serve_one(
-                            &*handler,
-                            stream,
-                            accepted,
-                            &stats,
-                            &shutdown,
-                            &mut scratch,
-                            chaos.as_deref(),
-                        );
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-
+        let stats = Arc::clone(&pipeline.stats);
+        let threads = match config.arm {
+            ServerArm::Blocking => {
+                spawn_blocking(listener, pipeline, config, Arc::clone(&shutdown))
+            }
+            ServerArm::Reactor => {
+                crate::reactor::spawn(listener, pipeline, config, Arc::clone(&shutdown))?
+            }
+        };
         Ok(ServerHandle {
             addr,
             shutdown,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
+            threads,
             stats,
         })
     }
 }
 
+/// The blocking arm: an acceptor thread (returned first) feeding a
+/// bounded connection queue, and `config.workers` threads each serving
+/// one connection at a time.
+fn spawn_blocking(
+    listener: TcpListener,
+    pipeline: Pipeline,
+    config: ServerConfig,
+    shutdown: Arc<AtomicBool>,
+) -> Vec<JoinHandle<()>> {
+    // Bounded queue: with the legacy default (`queue_cap: None`) it
+    // applies back-pressure to the acceptor; with an explicit cap the
+    // acceptor sheds instead of blocking (below). Each item carries the
+    // accept instant so the deadline budget charges queue wait.
+    let cap = config.queue_cap.unwrap_or(config.workers.max(1) * 4);
+    type QueueItem = (TcpStream, Instant);
+    let (tx, rx): (Sender<QueueItem>, Receiver<QueueItem>) = bounded(cap);
+
+    let acceptor = {
+        let shutdown = Arc::clone(&shutdown);
+        let stats = Arc::clone(&pipeline.stats);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                stats.record_connection();
+                let item = (stream, Instant::now());
+                if config.queue_cap.is_none() {
+                    // Legacy arm: block until a worker frees a slot.
+                    if tx.send(item).is_err() {
+                        break;
+                    }
+                } else {
+                    match tx.try_send(item) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full((stream, _))) => {
+                            // Admission control: answer a well-formed
+                            // shed fault with a retry hint instead of
+                            // letting the queue (and client latency)
+                            // grow without bound.
+                            stats.record_shed_queue_full();
+                            let fault = Response::shed_fault(
+                                &format!("accept queue at capacity ({cap})"),
+                                config.shed_retry_after_ms,
+                            )
+                            .with_header("Connection", "close");
+                            let _ = fault.write_to(&stream);
+                            continue;
+                        }
+                        Err(TrySendError::Disconnected(_)) => break,
+                    }
+                }
+                stats.record_queue_depth(tx.len() as u64);
+            }
+        })
+    };
+
+    let workers = (0..config.workers.max(1)).map(|_| {
+        let rx = rx.clone();
+        let pipeline = pipeline.clone();
+        let shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || {
+            let mut scratch = WorkerScratch {
+                inbox: Inbox::new(),
+                chunk: vec![0; READ_CHUNK],
+                out: Vec::new(),
+            };
+            while let Ok((stream, accepted)) = rx.recv() {
+                serve_one(&pipeline, stream, accepted, &shutdown, &mut scratch);
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+        })
+    });
+    std::iter::once(acceptor).chain(workers).collect()
+}
+
+/// Longest a blocking worker waits in one read before re-checking the
+/// shutdown flag.
+const IDLE_POLL: Duration = Duration::from_millis(100);
+
+/// Read staging chunk of a blocking worker. Kept small: every worker
+/// holds one for its lifetime, and a SOAP request fits one read.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Per-worker reusable buffers. Workers are fixed threads, so the scratch
-/// warms up once and every later request on the worker serializes into
-/// already-sized memory; [`WireStats`] records growths and the capacity
-/// high-water mark so experiments can verify the steady state.
-#[derive(Default)]
+/// warms up once and every later connection on the worker parses and
+/// serializes into already-sized memory; [`WireStats`] records growths of
+/// the serialize buffer and its capacity high-water mark so experiments
+/// can verify the steady state.
 struct WorkerScratch {
+    /// The worker's request parser, cleared between connections.
+    inbox: Inbox,
+    /// Read staging chunk.
+    chunk: Vec<u8>,
     /// Response serialize buffer, cleared (capacity kept) per request.
     out: Vec<u8>,
 }
@@ -421,183 +362,84 @@ struct WorkerScratch {
 /// Serve one connection: a single HTTP/1.0 exchange by default, or a
 /// sequence of exchanges when the client sends `Connection: keep-alive`
 /// (the ablation that shows what the 2002 per-call-connection regime
-/// cost). Idle keep-alive waits poll the shutdown flag so the server can
-/// always join its workers. One [`std::io::BufReader`] is created per
-/// connection (not per request) and responses are serialized into the
-/// worker's reusable scratch.
+/// cost). Reads time out every [`IDLE_POLL`] to poll the shutdown flag,
+/// so the server can always join its workers; a timeout mid-request is
+/// harmless because the partial request stays in the parser.
 fn serve_one(
-    handler: &dyn Handler,
-    stream: TcpStream,
-    accepted: std::time::Instant,
-    stats: &WireStats,
+    pipeline: &Pipeline,
+    mut stream: TcpStream,
+    accepted: Instant,
     shutdown: &AtomicBool,
     scratch: &mut WorkerScratch,
-    chaos: Option<&dyn ServerChaos>,
 ) {
-    let Ok(mut out) = stream.try_clone() else {
+    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
         return;
-    };
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = std::io::BufReader::new(read_half);
-    let mut first = true;
-    // Deadline anchor: the first request is charged from the accept
-    // instant (queue wait counts against the client's budget); later
-    // keep-alive requests are re-anchored after the idle wait so time the
-    // client spent *not* sending is not billed to the next request.
-    let mut arrival = accepted;
+    }
+    scratch.inbox.clear();
+    // The first bytes are charged from the accept instant: the wait in
+    // the accept queue counts against the client's budget.
+    let mut first_read = Some(accepted);
     loop {
-        // Wait for the next request without consuming bytes, so a timeout
-        // never corrupts a partially-read frame. Skip the wait when the
-        // connection reader already buffered pipelined bytes: peeking the
-        // socket would block even though a request is waiting in memory.
-        if !first && reader.buffer().is_empty() {
-            if stream
-                .set_read_timeout(Some(std::time::Duration::from_millis(100)))
-                .is_err()
-            {
-                return;
-            }
-            let mut probe = [0u8; 1];
-            loop {
-                match stream.peek(&mut probe) {
-                    Ok(0) => return, // peer closed the keep-alive connection
-                    Ok(_) => break,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
+        // Serve every request already buffered (pipelining) before
+        // reading again.
+        loop {
+            scratch.out.clear();
+            match scratch.inbox.next_request() {
+                Ok(Some((req, arrival))) => {
+                    let outcome = pipeline.dispatch(req, arrival, None, &mut scratch.out);
+                    if let Some(delay) = outcome.delay {
+                        std::thread::sleep(delay);
                     }
-                    Err(_) => return,
+                    if stream.write_all(&scratch.out).is_err() || !outcome.keep_alive {
+                        return;
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    pipeline.bad_request(&e.to_string(), &mut scratch.out);
+                    let _ = stream.write_all(&scratch.out);
+                    return;
                 }
             }
-            if stream.set_read_timeout(None).is_err() {
+        }
+        match stream.read(&mut scratch.chunk) {
+            Ok(0) => {
+                // Clean EOF (the shutdown poke, or a keep-alive peer
+                // hanging up between requests) closes quietly; a
+                // half-sent request is malformed.
+                if !scratch.inbox.is_empty() {
+                    pipeline.bad_request("connection closed mid-request", &mut scratch.out);
+                    let _ = stream.write_all(&scratch.out);
+                }
                 return;
             }
-            arrival = std::time::Instant::now();
-        }
-        // Distinguish a clean EOF before any byte (the shutdown poke, or a
-        // keep-alive peer hanging up between requests: close quietly) from
-        // bytes that arrived but failed to parse (answer a 400 SOAP fault
-        // so the client learns something instead of hanging until its own
-        // deadline).
-        {
-            use std::io::BufRead;
-            match reader.fill_buf() {
-                Ok([]) => return, // clean EOF, no bytes
-                Ok(_) => {}
-                Err(_) => return,
+            Ok(n) => {
+                let at = first_read.take().unwrap_or_else(Instant::now);
+                scratch
+                    .inbox
+                    .feed(scratch.chunk.get(..n).unwrap_or_default(), at);
             }
-        }
-        let mut req = match Request::read_from_buffered(&mut reader) {
-            Ok(req) => req,
-            Err(e) => {
-                stats.record_bad_request();
-                scratch.out.clear();
-                Response::bad_request_fault(&e.to_string()).write_into(&mut scratch.out);
-                use std::io::Write;
-                let _ = out.write_all(&scratch.out);
-                let _ = out.flush();
-                return;
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) =>
+            {
+                if shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
             }
-        };
-        first = false;
-        let keep_alive = wants_keep_alive(req.header("Connection"));
-        // Deadline admission runs before dispatch: an already-expired
-        // budget never reaches the handler, it just costs a shed fault.
-        // Sheds are not dispatches — they skip the exchange counters (the
-        // shed_* counters account for them) and the chaos hook (a shed
-        // reply is a promise the work did NOT run, so it must never be
-        // torn into the ambiguity chaos models).
-        let shed = admit_deadline(&mut req, arrival, stats);
-        let was_shed = shed.is_some();
-        let resp = match shed {
-            Some(fault) => fault,
-            None => handler.handle(&req),
-        };
-        scratch.out.clear();
-        let cap_before = scratch.out.capacity();
-        resp.write_into(&mut scratch.out);
-        if scratch.out.capacity() > cap_before {
-            stats.record_scratch_growth();
-        }
-        stats.record_scratch_high_water(scratch.out.capacity() as u64);
-        if !was_shed {
-            stats.record_exchange(scratch.out.len(), req.wire_len());
-        }
-        // The chaos hook runs after the handler: its drop/truncate classes
-        // model "the operation executed but the reply never (fully)
-        // arrived", which is exactly the ambiguity clients must survive.
-        let fault = if was_shed {
-            ServerFault::Deliver
-        } else {
-            chaos
-                .map(|c| c.decide(&req))
-                .unwrap_or(ServerFault::Deliver)
-        };
-        {
-            use std::io::Write;
-            if !apply_server_fault(fault, &mut out, &scratch.out, stats) {
-                return; // response dropped or truncated: close mid-frame
-            }
-            if out.write_all(&scratch.out).is_err() || out.flush().is_err() {
-                return;
-            }
-        }
-        if !keep_alive {
-            return;
-        }
-        // Re-anchor for the next keep-alive request; a pipelined request
-        // is charged from the end of the previous response, not from the
-        // connection's accept instant.
-        arrival = std::time::Instant::now();
-    }
-}
-
-/// Server-side deadline admission, shared by both arms. Reads the
-/// client-stamped `X-Deadline-Ms` budget (a duration in milliseconds,
-/// stamped at send time by `pool::PooledTransport`); when the budget is
-/// already spent by `arrival`-relative elapsed time the request is shed
-/// *before* the handler runs, with a deadline-exceeded SOAP fault.
-/// Otherwise the header is rewritten to the remaining budget so handlers
-/// and their downstream calls inherit an honest end-to-end deadline.
-/// Requests without the header (or with a malformed value) are admitted
-/// untouched — the contract is opt-in and never invents a deadline.
-pub(crate) fn admit_deadline(
-    req: &mut Request,
-    arrival: std::time::Instant,
-    stats: &WireStats,
-) -> Option<Response> {
-    let val = req.header(DEADLINE_HEADER)?;
-    let Ok(budget_ms) = val.trim().parse::<u64>() else {
-        return None;
-    };
-    let elapsed_ms = arrival.elapsed().as_millis() as u64;
-    if elapsed_ms >= budget_ms {
-        stats.record_shed_deadline();
-        return Some(Response::deadline_fault(&format!(
-            "budget of {budget_ms} ms spent before dispatch ({elapsed_ms} ms since arrival)"
-        )));
-    }
-    let remaining = budget_ms - elapsed_ms;
-    for (k, v) in req.headers.iter_mut() {
-        if k.eq_ignore_ascii_case(DEADLINE_HEADER) {
-            *v = remaining.to_string();
+            Err(_) => return,
         }
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use crate::pool::DEADLINE_HEADER;
 
     fn echo_handler() -> Arc<dyn Handler> {
         Arc::new(|req: &Request| Response::ok("text/plain", req.body.clone()))
@@ -725,7 +567,9 @@ mod tests {
             max_delay_ms: 2,
         };
         let chaos = Arc::new(SeededServerChaos::new(0x5EED, cfg));
-        let server = HttpServer::start_chaotic(echo_handler(), 2, chaos).unwrap();
+        let server =
+            HttpServer::start_with(echo_handler(), ServerConfig::with_workers(2), Some(chaos))
+                .unwrap();
         let addr = server.addr();
         let n = 40;
         let mut failures = 0u64;
@@ -899,7 +743,7 @@ mod tests {
             shed_retry_after_ms: 25,
             ..ServerConfig::default()
         };
-        let server = HttpServer::start_tuned(slow, config).unwrap();
+        let server = HttpServer::start_with(slow, config, None).unwrap();
         let addr = server.addr();
 
         let n = 8;
@@ -975,8 +819,7 @@ mod tests {
             shed_retry_after_ms: 25,
             ..ServerConfig::default()
         };
-        let server =
-            HttpServer::start_tuned_chaotic(slow, config, Arc::new(AlwaysTruncate)).unwrap();
+        let server = HttpServer::start_with(slow, config, Some(Arc::new(AlwaysTruncate))).unwrap();
         let addr = server.addr();
 
         let n = 8;
