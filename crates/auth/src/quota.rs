@@ -176,7 +176,7 @@ impl TenantQuotas {
 }
 
 /// Callback invoked on every quota shed — deployments hang the host's
-/// `WireStats::record_shed_quota` here so quota pressure shows up next
+/// `Counter::ShedQuota` increment here so quota pressure shows up next
 /// to the wire-level shed counters.
 pub type ShedHook = Arc<dyn Fn() + Send + Sync>;
 

@@ -21,7 +21,7 @@ use portalws_gridsim::cred::{CredentialAuthority, Mechanism};
 use portalws_soap::{
     CallContext, Fault, MethodDesc, PortalErrorKind, SoapResult, SoapService, SoapType, SoapValue,
 };
-use portalws_wire::{ArcCell, WireStats};
+use portalws_wire::{ArcCell, Counter, WireStats};
 
 use crate::assertion::Assertion;
 use crate::{AuthError, Result};
@@ -308,7 +308,7 @@ impl AuthService {
             }
         }
         if mac_proven {
-            self.stats.load().record_auth_verify_cached();
+            self.stats.load().add(Counter::AuthVerifyCached, 1);
         } else {
             assertion.verify_signature(&ctx.key)?;
             if let Some((key, canonical)) = fill {

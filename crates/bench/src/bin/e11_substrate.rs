@@ -37,6 +37,7 @@ use portalws_soap::{
     SoapType, SoapValue,
 };
 use portalws_wire::{Handler, HttpServer, PooledTransport};
+use portalws_xml::stats::fast_path_rate;
 
 /// Echo service: one full envelope decode + encode per call, so the
 /// round trip is dominated by the substrate under measurement.
@@ -252,8 +253,8 @@ fn main() {
             second.escape_owned,
             first.unescape_owned,
             second.unescape_owned,
-            second.escape_fast_path_rate(),
-            second.unescape_fast_path_rate(),
+            fast_path_rate(second.escape_borrowed, second.escape_owned),
+            fast_path_rate(second.unescape_borrowed, second.unescape_owned),
         );
         assert_eq!(
             (second.escape_owned, second.unescape_owned),

@@ -36,7 +36,7 @@ use portalws_services::{
 };
 use portalws_soap::{SoapClient, SoapServer, SoapService};
 use portalws_wire::{
-    derive_seed, ChaosConfig, ChaosTransport, Handler, HttpServer, HttpTransport,
+    derive_seed, ChaosConfig, ChaosTransport, Counter, Handler, HttpServer, HttpTransport,
     InMemoryTransport, Pool, PoolConfig, PooledTransport, Router, SeededServerChaos,
     ServerChaosConfig, ServerConfig, ServerHandle, Transport,
 };
@@ -526,7 +526,8 @@ impl PortalDeployment {
                 // modes), next to the queue-full and deadline sheds.
                 let on_shed = self.server_stats.get(host).map(|stats| {
                     let stats = Arc::clone(stats);
-                    Arc::new(move || stats.record_shed_quota()) as portalws_auth::quota::ShedHook
+                    Arc::new(move || stats.add(Counter::ShedQuota, 1))
+                        as portalws_auth::quota::ShedHook
                 });
                 g = portalws_auth::quota_guard(g, Arc::clone(quotas), on_shed);
             }

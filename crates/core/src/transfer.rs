@@ -27,6 +27,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use portalws_soap::{Fault, PortalErrorKind, SoapClient, SoapError, SoapValue};
+use portalws_wire::Counter;
 
 /// Default chunk payload size.
 pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
@@ -427,7 +428,10 @@ impl<'a> TransferClient<'a> {
     fn record(&self, report: &TransferReport) {
         let stats = self.client.transport().stats();
         stats.record_transfer_chunks(report.chunks as u64, report.bytes as u64);
-        stats.record_transfer_buffer(report.buffer_high_water as u64);
+        stats.max(
+            Counter::TransferBufferHighWater,
+            report.buffer_high_water as u64,
+        );
     }
 }
 

@@ -3,288 +3,236 @@
 //! pattern.
 //!
 //! Telemetry that silently stops moving is worse than none — dashboards
-//! keep rendering zeros. Four invariants over `crates/wire/src/stats.rs`:
+//! keep rendering zeros. `crates/wire/src/stats.rs` declares every counter
+//! once, as a `Variant => snapshot_field: Kind` row of the
+//! `wire_counters!` table, and generates the storage, the snapshot and
+//! `since()` from it, so "stored but never snapshotted" and "snapshotted
+//! but missing from `since()`" cannot happen. What the table cannot
+//! guarantee is that anything moves a counter. Two checks:
 //!
-//! * every `WireStats` field has at least one increment site
-//!   (`.fetch_add`/`.fetch_max`/`.fetch_update`/`.store`) — a counter
-//!   nobody bumps is dead weight (`no-increment`);
-//! * every `WireStats` field is read in a snapshot (`.load`) — a counter
-//!   that never reaches `snapshot()` is invisible (`not-snapshotted`);
-//! * every `StatsSnapshot` field appears in `fn since` — a field skipped
-//!   by the delta helper silently reports zero in every benchmark
-//!   interval (`missing-in-since`);
-//! * every `ChaosClass` variant is matched in `fn record_chaos`
-//!   (`chaos-unrecorded`) *and* constructed somewhere outside stats.rs
-//!   (`chaos-never-injected`) — a fault class the injector never throws
-//!   is untested error handling.
-//!
-//! The `base_*` fields are exempt from the increment check: they are
-//! baseline anchors written once at snapshot time, not counters.
+//! * every `Counter` variant has a non-test increment site outside
+//!   stats.rs (`no-increment`): a function body that names
+//!   `Counter::Variant` and calls an increment method (`add`, `max`, the
+//!   `fetch_*` family), or one that calls a stats.rs method incrementing
+//!   the variant. A stats.rs method increments a variant when it calls an
+//!   increment method and its body, or a stats.rs function it calls
+//!   (transitively), names the variant — so `record_chaos` covers the
+//!   chaos counters through `ChaosClass::counter`. A method nobody
+//!   outside stats.rs calls, or a bump under `#[cfg(test)]`, does not
+//!   count;
+//! * every `ChaosClass` variant is constructed somewhere outside stats.rs
+//!   (`chaos-never-injected`) — a fault class the injector never throws is
+//!   untested error handling. That each class is tallied is the
+//!   compiler's job (`ChaosClass::counter` is an exhaustive match); a
+//!   class mapped onto another class's counter leaves a counter with no
+//!   increment, which `no-increment` reports.
 //!
 //! Suppression: `// portalint: allow(stats-coverage) — <reason>` on the
-//! field or variant declaration line (or the line above).
+//! table row or variant declaration line (or the line above).
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Lexed, Tok};
 use crate::rules::{parse_allow, Violation, RULE_STATS};
 
-/// Increment-style atomic methods. `store` is deliberately absent: a
-/// reset method that zeroes every field would otherwise satisfy the
-/// check for counters nothing ever bumps.
-const BUMP_METHODS: &[&str] = &["fetch_add", "fetch_max", "fetch_update", "fetch_sub"];
+/// The macro whose invocation in stats.rs is the counter table.
+const TABLE_MACRO: &str = "wire_counters";
 
-/// `(name, line)` of each field of `struct <name>`.
-fn struct_fields(lexed: &Lexed, live: &[usize], name: &str) -> Vec<(String, u32)> {
-    let tok = |k: usize| -> Option<&Tok> { live.get(k).map(|&i| &lexed.tokens[i].tok) };
-    let mut out = Vec::new();
-    let mut k = 0usize;
-    while k + 1 < live.len() {
-        let is_struct = matches!(
-            (tok(k), tok(k + 1)),
-            (Some(Tok::Ident(a)), Some(Tok::Ident(b))) if a == "struct" && b == name
-        );
-        if !is_struct {
-            k += 1;
-            continue;
+/// Calls that move a counter: `WireStats::add`/`max` and the atomic
+/// read-modify-write family. `store` is deliberately absent: it sets a
+/// value, it does not count anything.
+const INCREMENTS: &[&str] = &[
+    "add",
+    "max",
+    "fetch_add",
+    "fetch_max",
+    "fetch_sub",
+    "fetch_update",
+];
+
+/// The live (non-test, non-`macro_rules!`) tokens of one file.
+struct Live {
+    lexed: Lexed,
+    idx: Vec<usize>,
+}
+
+impl Live {
+    fn new(source: &str) -> Live {
+        let lexed = lex(source);
+        let idx = lexed.live_indices();
+        Live { lexed, idx }
+    }
+
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    fn tok(&self, k: usize) -> Option<&Tok> {
+        self.idx.get(k).map(|&i| &self.lexed.tokens[i].tok)
+    }
+
+    fn ident(&self, k: usize) -> Option<&str> {
+        match self.tok(k) {
+            Some(Tok::Ident(s)) => Some(s),
+            _ => None,
         }
-        let mut j = k + 2;
-        while j < live.len() && !matches!(tok(j), Some(Tok::Punct('{'))) {
-            j += 1;
+    }
+
+    fn punct(&self, k: usize, c: char) -> bool {
+        matches!(self.tok(k), Some(Tok::Punct(p)) if *p == c)
+    }
+
+    fn line(&self, k: usize) -> u32 {
+        self.idx.get(k).map_or(0, |&i| self.lexed.tokens[i].line)
+    }
+
+    /// The `Variant` of a `ty::Variant` path starting at `k`.
+    fn path_at(&self, k: usize, ty: &str) -> Option<&str> {
+        if self.ident(k) == Some(ty) && self.punct(k + 1, ':') && self.punct(k + 2, ':') {
+            self.ident(k + 3)
+        } else {
+            None
         }
+    }
+
+    /// Index just past the group whose opening brace is at `open`.
+    fn group_end(&self, open: usize) -> usize {
         let mut depth = 0usize;
-        while j < live.len() {
-            match tok(j) {
-                Some(Tok::Punct('{')) => depth += 1,
-                Some(Tok::Punct('}')) => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return out;
-                    }
+        for k in open..self.len() {
+            if self.punct(k, '{') {
+                depth += 1;
+            } else if self.punct(k, '}') {
+                depth -= 1;
+                if depth == 0 {
+                    return k + 1;
                 }
-                Some(Tok::Ident(f)) if depth == 1 => {
-                    // A field name sits after `{`, `,`, `pub`, or `)` (of
-                    // `pub(crate)`) and is followed by a single `:` — a
-                    // `::` path segment inside a type never matches.
-                    let prev_ok = j == 0
-                        || matches!(
-                            tok(j - 1),
-                            Some(Tok::Punct('{')) | Some(Tok::Punct(',')) | Some(Tok::Punct(')'))
-                        )
-                        || matches!(tok(j - 1), Some(Tok::Ident(p)) if p == "pub");
-                    let colon = matches!(tok(j + 1), Some(Tok::Punct(':')))
-                        && !matches!(tok(j + 2), Some(Tok::Punct(':')));
-                    if prev_ok && colon {
-                        out.push((f.clone(), lexed.tokens[live[j]].line));
-                    }
-                }
-                _ => {}
             }
-            j += 1;
         }
-        return out;
+        self.len()
     }
-    out
 }
 
-/// `(name, line)` of each variant of `enum <name>`.
-fn enum_variants_with_lines(lexed: &Lexed, live: &[usize], name: &str) -> Vec<(String, u32)> {
-    let tok = |k: usize| -> Option<&Tok> { live.get(k).map(|&i| &lexed.tokens[i].tok) };
-    let mut out = Vec::new();
-    let mut k = 0usize;
-    while k + 1 < live.len() {
-        let is_enum = matches!(
-            (tok(k), tok(k + 1)),
-            (Some(Tok::Ident(a)), Some(Tok::Ident(b))) if a == "enum" && b == name
-        );
-        if !is_enum {
-            k += 1;
-            continue;
-        }
-        let mut j = k + 2;
-        while j < live.len() && !matches!(tok(j), Some(Tok::Punct('{'))) {
-            j += 1;
-        }
-        let mut depth = 0usize;
-        let mut parens = 0usize;
-        let mut expect = true;
-        while j < live.len() {
-            match tok(j) {
-                Some(Tok::Punct('{')) => depth += 1,
-                Some(Tok::Punct('}')) => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return out;
-                    }
-                }
-                Some(Tok::Punct('(')) => {
-                    parens += 1;
-                    expect = false;
-                }
-                Some(Tok::Punct(')')) => parens = parens.saturating_sub(1),
-                Some(Tok::Punct(',')) if depth == 1 && parens == 0 => expect = true,
-                Some(Tok::Ident(v)) if depth == 1 && parens == 0 && expect => {
-                    out.push((v.clone(), lexed.tokens[live[j]].line));
-                    expect = false;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        return out;
-    }
-    out
+/// What one `fn` body does with counters.
+#[derive(Default)]
+struct Body {
+    /// `Counter::Variant` variants the body names.
+    counters: BTreeSet<String>,
+    /// Names the body calls (`f(…)`, `x.f(…)`, `T::f(…)`).
+    calls: BTreeSet<String>,
+    /// The body calls an increment method.
+    bumps: bool,
 }
 
-/// Live-token extent `[start, end)` of the body of `fn <name>`.
-fn fn_body_extent(lexed: &Lexed, live: &[usize], name: &str) -> Option<(usize, usize)> {
-    let tok = |k: usize| -> Option<&Tok> { live.get(k).map(|&i| &lexed.tokens[i].tok) };
-    let mut k = 0usize;
-    while k + 1 < live.len() {
-        let is_fn = matches!(
-            (tok(k), tok(k + 1)),
-            (Some(Tok::Ident(a)), Some(Tok::Ident(b))) if a == "fn" && b == name
-        );
-        if !is_fn {
-            k += 1;
-            continue;
-        }
-        let mut j = k + 2;
-        let mut paren = 0i32;
-        while j < live.len() {
-            match tok(j) {
-                Some(Tok::Punct('(')) => paren += 1,
-                Some(Tok::Punct(')')) => paren -= 1,
-                Some(Tok::Punct('{')) if paren == 0 => break,
-                Some(Tok::Punct(';')) if paren == 0 => return None,
-                _ => {}
-            }
-            j += 1;
-        }
-        let start = j + 1;
-        let mut depth = 1usize;
-        let mut e = start;
-        while e < live.len() && depth > 0 {
-            match tok(e) {
-                Some(Tok::Punct('{')) => depth += 1,
-                Some(Tok::Punct('}')) => depth -= 1,
-                _ => {}
-            }
-            e += 1;
-        }
-        return Some((start, e.saturating_sub(1)));
-    }
-    None
-}
-
-/// `field . method` windows in `[start, end)`: does `field` get `method`
-/// called on it?
-fn field_method_used(
-    lexed: &Lexed,
-    live: &[usize],
-    range: (usize, usize),
-    field: &str,
-    methods: &[&str],
-) -> bool {
-    let tok = |k: usize| -> Option<&Tok> { live.get(k).map(|&i| &lexed.tokens[i].tok) };
-    (range.0..range.1.saturating_sub(2)).any(|k| {
-        matches!(
-            (tok(k), tok(k + 1), tok(k + 2)),
-            (Some(Tok::Ident(f)), Some(Tok::Punct('.')), Some(Tok::Ident(m)))
-                if f == field && methods.contains(&m.as_str())
-        )
-    })
-}
-
-/// Live-token extents of every `fn` body in the file.
-fn all_fn_bodies(lexed: &Lexed, live: &[usize]) -> Vec<(usize, usize)> {
-    let tok = |k: usize| -> Option<&Tok> { live.get(k).map(|&i| &lexed.tokens[i].tok) };
+/// Every live `fn` body in a file, by function name.
+fn bodies(live: &Live) -> Vec<(String, Body)> {
     let mut out = Vec::new();
     let mut k = 0usize;
     while k < live.len() {
-        if !matches!(tok(k), Some(Tok::Ident(a)) if a == "fn") {
-            k += 1;
-            continue;
-        }
-        let mut j = k + 1;
+        let name = match (live.ident(k), live.ident(k + 1)) {
+            (Some("fn"), Some(name)) => name.to_string(),
+            _ => {
+                k += 1;
+                continue;
+            }
+        };
+        // The signature runs to the body's `{`, or to `;` when there is
+        // no body.
+        let mut open = k + 2;
         let mut paren = 0i32;
-        let mut found = true;
-        while j < live.len() {
-            match tok(j) {
-                Some(Tok::Punct('(')) => paren += 1,
-                Some(Tok::Punct(')')) => paren -= 1,
-                Some(Tok::Punct('{')) if paren == 0 => break,
-                Some(Tok::Punct(';')) if paren == 0 => {
-                    found = false;
-                    break;
-                }
-                _ => {}
+        while open < live.len() {
+            if live.punct(open, '(') {
+                paren += 1;
+            } else if live.punct(open, ')') {
+                paren -= 1;
+            } else if paren == 0 && (live.punct(open, '{') || live.punct(open, ';')) {
+                break;
             }
-            j += 1;
+            open += 1;
         }
-        if !found {
-            k = j + 1;
+        if !live.punct(open, '{') {
+            k = open + 1;
             continue;
         }
-        let start = j + 1;
-        let mut depth = 1usize;
-        let mut e = start;
-        while e < live.len() && depth > 0 {
-            match tok(e) {
-                Some(Tok::Punct('{')) => depth += 1,
-                Some(Tok::Punct('}')) => depth -= 1,
-                _ => {}
+        let end = live.group_end(open);
+        let mut body = Body::default();
+        for j in open..end {
+            if let Some(variant) = live.path_at(j, "Counter") {
+                body.counters.insert(variant.to_string());
             }
-            e += 1;
+            if let (Some(id), true) = (live.ident(j), live.punct(j + 1, '(')) {
+                body.bumps |= INCREMENTS.contains(&id);
+                body.calls.insert(id.to_string());
+            }
         }
-        out.push((start, e.saturating_sub(1)));
-        k = e;
+        out.push((name, body));
+        k = end;
     }
     out
 }
 
-/// Does any function body both mention `self.field` and perform a bump?
-/// Catches the select-then-bump indirection (`let counter = match class
-/// { … => &self.chaos_drops, … }; counter.fetch_add(1, …)`) that the
-/// direct `field.fetch_add` window misses. Over-credits a field that is
-/// merely read in a body that bumps a different field — acceptable: the
-/// direct pattern covers the common case, this one only widens it.
-fn bumped_indirectly(lexed: &Lexed, live: &[usize], field: &str) -> bool {
-    let tok = |k: usize| -> Option<&Tok> { live.get(k).map(|&i| &lexed.tokens[i].tok) };
-    all_fn_bodies(lexed, live).iter().any(|&(start, end)| {
-        let mentions_field = (start..end.saturating_sub(2)).any(|k| {
-            matches!(
-                (tok(k), tok(k + 1), tok(k + 2)),
-                (Some(Tok::Ident(s)), Some(Tok::Punct('.')), Some(Tok::Ident(f)))
-                    if s == "self" && f == field
-            )
-        });
-        mentions_field
-            && (start..end).any(
-                |k| matches!(tok(k), Some(Tok::Ident(m)) if BUMP_METHODS.contains(&m.as_str())),
-            )
-    })
+/// `(variant, line)` of every `Variant => field: Kind` row of the table.
+fn table_rows(live: &Live) -> Vec<(String, u32)> {
+    let Some(start) =
+        (0..live.len()).find(|&k| live.ident(k) == Some(TABLE_MACRO) && live.punct(k + 1, '!'))
+    else {
+        return Vec::new();
+    };
+    (start..live.group_end(start + 2))
+        .filter(|&k| {
+            live.punct(k + 1, '=')
+                && live.punct(k + 2, '>')
+                && live.ident(k + 3).is_some()
+                && live.punct(k + 4, ':')
+        })
+        .filter_map(|k| Some((live.ident(k)?.to_string(), live.line(k))))
+        .collect()
 }
 
-/// `Enum :: Variant` windows in `[start, end)`.
-fn variant_mentioned(
-    lexed: &Lexed,
-    live: &[usize],
-    range: (usize, usize),
-    enum_name: &str,
-    variant: &str,
-) -> bool {
-    let tok = |k: usize| -> Option<&Tok> { live.get(k).map(|&i| &lexed.tokens[i].tok) };
-    (range.0..range.1.saturating_sub(3)).any(|k| {
-        matches!(
-            (tok(k), tok(k + 1), tok(k + 2), tok(k + 3)),
-            (Some(Tok::Ident(e)), Some(Tok::Punct(':')), Some(Tok::Punct(':')), Some(Tok::Ident(v)))
-                if e == enum_name && v == variant
-        )
-    })
+/// `(variant, line)` of each variant of a fieldless `enum <name>`.
+fn enum_variants(live: &Live, name: &str) -> Vec<(String, u32)> {
+    let Some(start) =
+        (0..live.len()).find(|&k| live.ident(k) == Some("enum") && live.ident(k + 1) == Some(name))
+    else {
+        return Vec::new();
+    };
+    (start + 3..live.group_end(start + 2))
+        .filter(|&k| {
+            live.punct(k - 1, '{')
+                || live.punct(k - 1, ',')
+                || matches!(live.tok(k - 1), Some(Tok::Attr(_)))
+        })
+        .filter_map(|k| Some((live.ident(k)?.to_string(), live.line(k))))
+        .collect()
 }
 
-/// Does any ident in `[start, end)` equal `name`?
-fn ident_mentioned(lexed: &Lexed, live: &[usize], range: (usize, usize), name: &str) -> bool {
-    (range.0..range.1).any(|k| matches!(&lexed.tokens[live[k]].tok, Tok::Ident(id) if id == name))
+/// What each stats.rs function increments: its own increments plus those
+/// of the stats.rs functions it calls, to a fixed point.
+fn increments_by_fn(stats: &[(String, Body)]) -> BTreeMap<&str, BTreeSet<String>> {
+    // `reach`: variants a function names, directly or through callees.
+    let mut reach: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    let mut incr: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (name, body) in stats {
+            let mut r = body.counters.clone();
+            let mut i = BTreeSet::new();
+            for callee in &body.calls {
+                r.extend(reach.get(callee.as_str()).into_iter().flatten().cloned());
+                i.extend(incr.get(callee.as_str()).into_iter().flatten().cloned());
+            }
+            if body.bumps {
+                i.extend(r.iter().cloned());
+            }
+            for (map, new) in [(&mut reach, r), (&mut incr, i)] {
+                let set = map.entry(name.as_str()).or_default();
+                let before = set.len();
+                set.extend(new);
+                changed |= set.len() != before;
+            }
+        }
+    }
+    incr
 }
 
 /// Run the stats-coverage checks over the workspace sources.
@@ -294,28 +242,28 @@ pub fn check_stats_coverage(files: &[(String, String)]) -> Vec<Violation> {
     else {
         return Vec::new();
     };
-    let lexed = lex(stats_src);
-    let live = lexed.live_indices();
-    let whole = (0usize, live.len());
+    let stats = Live::new(stats_src);
+    let others: Vec<Live> = files
+        .iter()
+        .filter(|(p, _)| p != stats_path)
+        .map(|(_, src)| Live::new(src))
+        .collect();
 
-    let mut allow_lines: Vec<(u32, String)> = Vec::new();
-    for comment in &lexed.comments {
-        if let Some(Ok((rule, reason))) = parse_allow(&comment.text) {
-            if rule == RULE_STATS {
-                allow_lines.push((comment.line, reason));
-            }
-        }
-    }
-    let allow_for = |line: u32| -> Option<String> {
-        allow_lines
-            .iter()
-            .find(|(l, _)| *l == line || *l == line.saturating_sub(1))
-            .map(|(_, r)| r.clone())
-    };
-
+    let allow_lines: Vec<(u32, String)> = stats
+        .lexed
+        .comments
+        .iter()
+        .filter_map(|c| match parse_allow(&c.text) {
+            Some(Ok((rule, reason))) if rule == RULE_STATS => Some((c.line, reason)),
+            _ => None,
+        })
+        .collect();
     let mut out = Vec::new();
     let mut push = |line: u32, kind: &str, message: String| {
-        let reason = allow_for(line);
+        let reason = allow_lines
+            .iter()
+            .find(|(l, _)| *l == line || *l == line.saturating_sub(1))
+            .map(|(_, r)| r.clone());
         out.push(Violation {
             file: stats_path.clone(),
             line,
@@ -327,73 +275,37 @@ pub fn check_stats_coverage(files: &[(String, String)]) -> Vec<Violation> {
         });
     };
 
-    for (field, line) in struct_fields(&lexed, &live, "WireStats") {
-        if field.starts_with("base_") {
-            // Baseline anchors: written once at snapshot time, not
-            // counters with an increment/observe lifecycle.
-            continue;
+    let stats_fns = bodies(&stats);
+    let incr = increments_by_fn(&stats_fns);
+    let mut bumped: BTreeSet<String> = BTreeSet::new();
+    for (_, body) in others.iter().flat_map(bodies) {
+        if body.bumps {
+            bumped.extend(body.counters);
         }
-        if !field_method_used(&lexed, &live, whole, &field, BUMP_METHODS)
-            && !bumped_indirectly(&lexed, &live, &field)
-        {
+        for callee in &body.calls {
+            bumped.extend(incr.get(callee.as_str()).into_iter().flatten().cloned());
+        }
+    }
+    for (variant, line) in table_rows(&stats) {
+        if !bumped.contains(&variant) {
             push(
                 line,
                 "no-increment",
-                format!("WireStats::{field} has no increment site (fetch_add/fetch_max/fetch_update); dead counters report zeros forever"),
+                format!("Counter::{variant} has no non-test increment site outside stats.rs, direct or through a stats.rs method; dead counters report zeros forever"),
             );
         }
-        if !field_method_used(&lexed, &live, whole, &field, &["load"]) {
+    }
+
+    for (variant, line) in enum_variants(&stats, "ChaosClass") {
+        let injected = others
+            .iter()
+            .any(|l| (0..l.len()).any(|k| l.path_at(k, "ChaosClass") == Some(variant.as_str())));
+        if !injected {
             push(
                 line,
-                "not-snapshotted",
-                format!(
-                    "WireStats::{field} is never loaded into a snapshot; it cannot be observed"
-                ),
+                "chaos-never-injected",
+                format!("ChaosClass::{variant} is never constructed outside stats.rs; the fault class is declared but untested"),
             );
-        }
-    }
-
-    if let Some(since) = fn_body_extent(&lexed, &live, "since") {
-        for (field, line) in struct_fields(&lexed, &live, "StatsSnapshot") {
-            if !ident_mentioned(&lexed, &live, since, &field) {
-                push(
-                    line,
-                    "missing-in-since",
-                    format!("StatsSnapshot::{field} is missing from since(); interval deltas will silently report zero"),
-                );
-            }
-        }
-    }
-
-    let variants = enum_variants_with_lines(&lexed, &live, "ChaosClass");
-    if !variants.is_empty() {
-        let record = fn_body_extent(&lexed, &live, "record_chaos");
-        for (variant, line) in &variants {
-            let recorded =
-                record.is_some_and(|r| variant_mentioned(&lexed, &live, r, "ChaosClass", variant));
-            if !recorded {
-                push(
-                    *line,
-                    "chaos-unrecorded",
-                    format!("ChaosClass::{variant} is not matched in record_chaos(); injections of this class go uncounted"),
-                );
-            }
-            let injected = files.iter().any(|(p, src)| {
-                if p == stats_path {
-                    return false;
-                }
-                let l = lex(src);
-                let lv = l.live_indices();
-                let range = (0usize, lv.len());
-                variant_mentioned(&l, &lv, range, "ChaosClass", variant)
-            });
-            if !injected {
-                push(
-                    *line,
-                    "chaos-never-injected",
-                    format!("ChaosClass::{variant} is never constructed outside stats.rs; the fault class is declared but untested"),
-                );
-            }
         }
     }
 
@@ -407,117 +319,129 @@ mod tests {
 
     const STATS_OK: &str = "\
 pub enum ChaosClass { Drop, Delay }
-pub struct WireStats { requests: AtomicU64, base_requests: AtomicU64 }
-pub struct StatsSnapshot { pub requests: u64 }
-impl WireStats {
-    fn record_request(&self) { self.requests.fetch_add(1, Relaxed); }
-    fn record_chaos(&self, c: ChaosClass) {
-        match c { ChaosClass::Drop => {}, ChaosClass::Delay => {} }
-    }
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot { requests: self.requests.load(Relaxed) }
+impl ChaosClass {
+    fn counter(self) -> Counter {
+        match self { ChaosClass::Drop => Counter::ChaosDrops, ChaosClass::Delay => Counter::ChaosDelays }
     }
 }
-impl StatsSnapshot {
-    pub fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot { requests: self.requests - base.requests }
+macro_rules! wire_counters {
+    (counters { $( $c:ident => $f:ident : $k:ident, )* } substrate { $( $s:ident, )* }) => {};
+}
+wire_counters! {
+    counters {
+        /// Exchanges completed.
+        Requests => requests: Sum,
+        /// Failed exchanges.
+        Errors => errors: Sum,
+        ChaosDrops => chaos_drops: Sum,
+        ChaosDelays => chaos_delays: Sum,
     }
+    substrate {
+        escape_borrowed,
+    }
+}
+impl WireStats {
+    pub fn add(&self, c: Counter, n: u64) {
+        if let Some(cell) = self.cell(c) { cell.fetch_add(n, Relaxed); }
+    }
+    pub fn record_exchange(&self) { self.add(Counter::Requests, 1); }
+    pub fn record_chaos(&self, class: ChaosClass) { self.add(class.counter(), 1); }
+}
+impl StatsSnapshot {
+    pub fn chaos_class(&self, class: ChaosClass) -> u64 { self.get(class.counter()) }
 }
 ";
 
-    fn fixture(stats: &str, extra: &[(&str, &str)]) -> Vec<(String, String)> {
-        let mut fs = vec![("crates/wire/src/stats.rs".to_string(), stats.to_string())];
-        fs.extend(extra.iter().map(|(a, b)| (a.to_string(), b.to_string())));
-        fs
+    const CALLER: &str = "\
+fn serve(s: &WireStats) {
+    s.record_exchange();
+    s.record_chaos(ChaosClass::Drop);
+    s.record_chaos(ChaosClass::Delay);
+}
+fn fail(s: &WireStats) { s.add(Counter::Errors, 1); }
+";
+
+    fn check(stats: &str, caller: &str) -> Vec<Violation> {
+        check_stats_coverage(&[
+            ("crates/wire/src/stats.rs".to_string(), stats.to_string()),
+            ("crates/wire/src/chaos.rs".to_string(), caller.to_string()),
+        ])
     }
 
-    const INJECTOR: (&str, &str) = (
-        "crates/wire/src/chaos.rs",
-        "fn plan() { let _ = (ChaosClass::Drop, ChaosClass::Delay); }",
-    );
+    fn kinds(v: &[Violation]) -> Vec<(&str, bool)> {
+        v.iter().map(|x| (x.kind.as_str(), x.suppressed)).collect()
+    }
 
     #[test]
-    fn complete_stats_file_is_clean() {
-        let v = check_stats_coverage(&fixture(STATS_OK, &[INJECTOR]));
+    fn complete_table_is_clean() {
+        let v = check(STATS_OK, CALLER);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
-    fn dead_counter_flagged_base_fields_exempt() {
-        let src = STATS_OK.replace(
-            "fn record_request(&self) { self.requests.fetch_add(1, Relaxed); }",
-            "",
-        );
-        let v = check_stats_coverage(&fixture(&src, &[INJECTOR]));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].kind, "no-increment");
-        assert!(v[0].message.contains("requests"));
+    fn counter_with_no_bump_is_flagged() {
+        let v = check(STATS_OK, &CALLER.replace("s.add(Counter::Errors, 1);", ""));
+        assert_eq!(kinds(&v), [("no-increment", false)], "{v:?}");
+        assert!(v[0].message.contains("Errors"));
     }
 
     #[test]
-    fn select_then_bump_indirection_counts_as_increment() {
-        // The real record_chaos selects a counter reference in a match,
-        // then bumps through the binding.
-        let src = STATS_OK.replace(
-            "fn record_chaos(&self, c: ChaosClass) {
-        match c { ChaosClass::Drop => {}, ChaosClass::Delay => {} }
-    }",
-            "fn record_chaos(&self, c: ChaosClass) {
-        let counter = match c { ChaosClass::Drop => &self.requests, ChaosClass::Delay => &self.requests };
-        counter.fetch_add(1, Relaxed);
-    }",
-        );
-        let src = src.replace(
-            "fn record_request(&self) { self.requests.fetch_add(1, Relaxed); }",
-            "",
-        );
-        let v = check_stats_coverage(&fixture(&src, &[INJECTOR]));
-        assert!(v.is_empty(), "{v:?}");
+    fn naming_a_counter_without_bumping_it_is_not_an_increment() {
+        let caller = CALLER.replace("s.add(Counter::Errors, 1);", "let _ = Counter::Errors;");
+        let v = check(STATS_OK, &caller);
+        assert_eq!(kinds(&v), [("no-increment", false)], "{v:?}");
     }
 
     #[test]
-    fn missing_in_since_flagged() {
-        // Since no longer mentions the snapshot field at all (a struct
-        // literal key would still count as a mention).
-        let src = STATS_OK.replace(
-            "pub fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot { requests: self.requests - base.requests }
-    }",
-            "pub fn since(&self, _base: &StatsSnapshot) -> u64 { 0 }",
-        );
-        let v = check_stats_coverage(&fixture(&src, &[INJECTOR]));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].kind, "missing-in-since");
+    fn bump_in_a_stats_method_nobody_calls_is_flagged() {
+        // `record_exchange` still bumps `Requests`, but nothing outside
+        // stats.rs calls it.
+        let v = check(STATS_OK, &CALLER.replace("s.record_exchange();", ""));
+        assert_eq!(kinds(&v), [("no-increment", false)], "{v:?}");
+        assert!(v[0].message.contains("Requests"));
     }
 
     #[test]
-    fn unrecorded_and_uninjected_variant_flagged() {
-        let src = STATS_OK.replace(
-            "match c { ChaosClass::Drop => {}, ChaosClass::Delay => {} }",
-            "match c { ChaosClass::Drop => {}, _ => {} }",
+    fn bump_only_under_cfg_test_is_flagged() {
+        let caller = CALLER.replace(
+            "fn fail(s: &WireStats) { s.add(Counter::Errors, 1); }",
+            "#[cfg(test)]\nmod tests {\n    fn fail(s: &WireStats) { s.add(Counter::Errors, 1); }\n}",
         );
-        let injector_without_delay = (
-            "crates/wire/src/chaos.rs",
-            "fn plan() { let _ = ChaosClass::Drop; }",
-        );
-        let v = check_stats_coverage(&fixture(&src, &[injector_without_delay]));
-        let kinds: Vec<&str> = v.iter().map(|x| x.kind.as_str()).collect();
-        assert_eq!(kinds, vec!["chaos-unrecorded", "chaos-never-injected"]);
-        assert!(v.iter().all(|x| x.message.contains("Delay")));
+        let v = check(STATS_OK, &caller);
+        assert_eq!(kinds(&v), [("no-increment", false)], "{v:?}");
+        assert!(v[0].message.contains("Errors"));
     }
 
     #[test]
-    fn allow_suppresses_on_declaration_line() {
-        let src = STATS_OK.replace(
-            "pub struct WireStats { requests: AtomicU64, base_requests: AtomicU64 }",
-            "pub struct WireStats {\n    // portalint: allow(stats-coverage) — reserved for the admission-control PR\n    requests: AtomicU64,\n    base_requests: AtomicU64,\n}",
+    fn class_mapped_onto_another_counter_leaves_a_dead_counter() {
+        // `record_chaos` covers the chaos counters through `counter()`;
+        // a wrong mapping strands the counter it no longer names.
+        let stats = STATS_OK.replace(
+            "ChaosClass::Delay => Counter::ChaosDelays",
+            "ChaosClass::Delay => Counter::ChaosDrops",
         );
-        let src = src.replace(
-            "fn record_request(&self) { self.requests.fetch_add(1, Relaxed); }",
-            "",
+        let v = check(&stats, CALLER);
+        assert_eq!(kinds(&v), [("no-increment", false)], "{v:?}");
+        assert!(v[0].message.contains("ChaosDelays"));
+    }
+
+    #[test]
+    fn chaos_class_never_constructed_outside_stats_is_flagged() {
+        let v = check(
+            STATS_OK,
+            &CALLER.replace("s.record_chaos(ChaosClass::Delay);", ""),
         );
-        let v = check_stats_coverage(&fixture(&src, &[INJECTOR]));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].suppressed);
+        assert_eq!(kinds(&v), [("chaos-never-injected", false)], "{v:?}");
+        assert!(v[0].message.contains("Delay"));
+    }
+
+    #[test]
+    fn allow_suppresses_on_the_table_row() {
+        let stats = STATS_OK.replace(
+            "        Errors => errors: Sum,",
+            "        // portalint: allow(stats-coverage) — bumped from the next admission stage\n        Errors => errors: Sum,",
+        );
+        let v = check(&stats, &CALLER.replace("s.add(Counter::Errors, 1);", ""));
+        assert_eq!(kinds(&v), [("no-increment", true)], "{v:?}");
     }
 }

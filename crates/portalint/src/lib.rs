@@ -37,10 +37,10 @@
 //!    sink (`format!`, `to_owned`, `String::new`, …); `with_capacity`
 //!    and lazy error-path closures are exempt by design. Cross-checked
 //!    dynamically by E11's `--assert-no-alloc` counter deltas.
-//! 6. **`stats-coverage`** ([`coverage`]) — every `WireStats` counter is
-//!    incremented (`fetch_add`-family, not `store`), snapshotted, and
-//!    reported through `since()`; every `ChaosClass` variant is recorded
-//!    and injected.
+//! 6. **`stats-coverage`** ([`coverage`]) — every `Counter` in the
+//!    `wire_counters!` table has a non-test increment site outside
+//!    `stats.rs`, direct or through a `stats.rs` method that such code
+//!    calls; every `ChaosClass` variant is injected.
 //!
 //! Run as `cargo run -p portalint -- check` (human output, exit 1 on any
 //! unsuppressed violation) with `--json <path>` for the machine-readable

@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use portalws_wire::WireStats;
+use portalws_wire::{Counter, WireStats};
 
 use crate::value::SoapValue;
 
@@ -236,7 +236,7 @@ impl ReadCache {
         let mut follow_failures = 0u32;
         loop {
             if let Some(value) = self.try_serve(&key, probe) {
-                self.stats.record_cache_hit();
+                self.stats.add(Counter::CacheHits, 1);
                 return Ok(value);
             }
             if follow_failures > MAX_FOLLOW_FAILURES {
@@ -271,7 +271,7 @@ impl ReadCache {
                             .is_some_and(|latest| latest > g)
                     });
                     if !stale {
-                        self.stats.record_coalesced_call();
+                        self.stats.add(Counter::CoalescedCalls, 1);
                         return Ok(value);
                     }
                     follow_failures += 1;
@@ -291,7 +291,7 @@ impl ReadCache {
         flight: Option<&Arc<Flight>>,
         fetch: &dyn Fn() -> Result<(SoapValue, Option<u64>), E>,
     ) -> Result<SoapValue, E> {
-        self.stats.record_cache_miss();
+        self.stats.add(Counter::CacheMisses, 1);
         let result = fetch();
         if flight.is_some() {
             // Callers arriving from here on start a fresh flight; current
@@ -331,7 +331,7 @@ impl ReadCache {
                     // A newer generation has been *observed*: this entry
                     // must never be served again.
                     entries.remove(key);
-                    self.stats.record_cache_invalidation();
+                    self.stats.add(Counter::CacheInvalidations, 1);
                     return None;
                 }
             }
@@ -356,7 +356,7 @@ impl ReadCache {
             return Some(entry.value.clone());
         }
         entries.remove(key);
-        self.stats.record_cache_invalidation();
+        self.stats.add(Counter::CacheInvalidations, 1);
         None
     }
 

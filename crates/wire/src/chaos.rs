@@ -26,7 +26,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::http::{Request, Response};
-use crate::stats::{ChaosClass, WireStats};
+use crate::stats::{ChaosClass, Counter, WireStats};
 use crate::transport::Transport;
 use crate::{Result, WireError};
 
@@ -307,12 +307,12 @@ impl Transport for ChaosTransport {
         match fault {
             ClientFault::ConnectRefused => {
                 self.stats.record_chaos(ChaosClass::ConnectRefused);
-                self.stats.record_error();
+                self.stats.add(Counter::Errors, 1);
                 Err(self.io_fault(std::io::ErrorKind::ConnectionRefused, "connect refused"))
             }
             ClientFault::StaleKeepAlive => {
                 self.stats.record_chaos(ChaosClass::StaleClose);
-                self.stats.record_error();
+                self.stats.add(Counter::Errors, 1);
                 Err(self.io_fault(
                     std::io::ErrorKind::ConnectionReset,
                     "peer closed idle keep-alive connection",
@@ -325,7 +325,7 @@ impl Transport for ChaosTransport {
                     // handler, the client never saw the response.
                     let _ = self.inner.round_trip(req);
                 }
-                self.stats.record_error();
+                self.stats.add(Counter::Errors, 1);
                 Err(self.io_fault(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed mid-exchange",
@@ -342,7 +342,7 @@ impl Transport for ChaosTransport {
                 match Response::read_from(bytes.get(..cut).unwrap_or(&[])) {
                     Ok(short) => Ok(short),
                     Err(e) => {
-                        self.stats.record_error();
+                        self.stats.add(Counter::Errors, 1);
                         Err(e)
                     }
                 }
@@ -360,7 +360,7 @@ impl Transport for ChaosTransport {
                 match Response::read_from(bytes.as_slice()) {
                     Ok(parsed) => Ok(parsed),
                     Err(e) => {
-                        self.stats.record_error();
+                        self.stats.add(Counter::Errors, 1);
                         Err(e)
                     }
                 }

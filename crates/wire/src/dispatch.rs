@@ -27,7 +27,7 @@ use crate::chaos::{cut_inside, ServerChaos, ServerFault};
 use crate::http::{wants_keep_alive, Request, RequestParser, Response};
 use crate::pool::DEADLINE_HEADER;
 use crate::server::Handler;
-use crate::stats::{ChaosClass, WireStats};
+use crate::stats::{ChaosClass, Counter, WireStats};
 use crate::Result;
 
 /// A connection's read side: the request parser plus the instant each
@@ -191,7 +191,7 @@ impl Pipeline {
     /// Append the 400 SOAP fault for bytes that can never parse as a
     /// request; the driver closes once it is written.
     pub(crate) fn bad_request(&self, detail: &str, out: &mut Vec<u8>) {
-        self.stats.record_bad_request();
+        self.stats.add(Counter::BadRequests, 1);
         self.serialize(&Response::bad_request_fault(detail), out);
     }
 
@@ -199,9 +199,10 @@ impl Pipeline {
         let cap_before = out.capacity();
         resp.write_into(out);
         if out.capacity() > cap_before {
-            self.stats.record_scratch_growth();
+            self.stats.add(Counter::ScratchGrowths, 1);
         }
-        self.stats.record_scratch_high_water(out.capacity() as u64);
+        self.stats
+            .max(Counter::ScratchHighWater, out.capacity() as u64);
     }
 }
 
@@ -221,7 +222,7 @@ fn admit_deadline(req: &mut Request, arrival: Instant, stats: &WireStats) -> Opt
     };
     let elapsed_ms = arrival.elapsed().as_millis() as u64;
     if elapsed_ms >= budget_ms {
-        stats.record_shed_deadline();
+        stats.add(Counter::ShedDeadline, 1);
         return Some(Response::deadline_fault(&format!(
             "budget of {budget_ms} ms spent before dispatch"
         )));

@@ -60,7 +60,7 @@ pub use pool::{
     IDEMPOTENT_HEADER,
 };
 pub use server::{Handler, HttpServer, Router, ServerArm, ServerConfig, ServerHandle};
-pub use stats::{ChaosClass, StatsSnapshot, WireStats};
+pub use stats::{ChaosClass, Counter, StatsSnapshot, WireStats};
 pub use transport::{HttpTransport, InMemoryTransport, Transport};
 
 use std::fmt;

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::http::{Request, Response, Status, RETRY_AFTER_HEADER, RETRY_AFTER_MS_HEADER};
-use crate::stats::WireStats;
+use crate::stats::{Counter, WireStats};
 use crate::transport::Transport;
 use crate::{Result, WireError};
 
@@ -54,7 +54,7 @@ pub const DEADLINE_HEADER: &str = "X-Deadline-Ms";
 
 /// Request header marking a call issued to (re)fill a client-side
 /// `ReadCache` after a miss. The pool counts reuse hits serving such
-/// requests separately ([`WireStats::record_pool_cache_fill_hit`]) so the
+/// requests separately ([`Counter::PoolCacheFillHits`]) so the
 /// E6 experiment can attribute round-trip savings to caching vs pooling.
 pub const CACHE_FILL_HEADER: &str = "X-Cache-Fill";
 
@@ -203,15 +203,15 @@ impl Pool {
         while let Some(entry) = queue.pop_back() {
             if entry.parked_at.elapsed() > self.cfg.max_age {
                 // Everything before this entry is older still; evict all.
-                stats.record_pool_evictions(queue.len() as u64 + 1);
+                stats.add(Counter::PoolEvictions, queue.len() as u64 + 1);
                 queue.clear();
                 return None;
             }
             if is_live(&entry.conn) {
-                stats.record_pool_reuse_hit();
+                stats.add(Counter::PoolReuseHits, 1);
                 return Some(entry.conn);
             }
-            stats.record_pool_evictions(1);
+            stats.add(Counter::PoolEvictions, 1);
         }
         None
     }
@@ -220,14 +220,14 @@ impl Pool {
     /// endpoint is at its idle limit.
     fn checkin(&self, addr: &str, conn: TcpStream, stats: &WireStats) {
         if self.cfg.max_idle == 0 {
-            stats.record_pool_evictions(1);
+            stats.add(Counter::PoolEvictions, 1);
             return;
         }
         let mut idle = self.idle.lock();
         let queue = idle.entry(addr.to_owned()).or_default();
         if queue.len() >= self.cfg.max_idle {
             queue.pop_front();
-            stats.record_pool_evictions(1);
+            stats.add(Counter::PoolEvictions, 1);
         }
         queue.push_back(Idle {
             conn,
@@ -325,19 +325,19 @@ impl PooledTransport {
     ) -> Result<Response> {
         if let Some(conn) = self.pool.checkout(&self.addr, &self.stats) {
             if cache_fill {
-                self.stats.record_pool_cache_fill_hit();
+                self.stats.add(Counter::PoolCacheFillHits, 1);
             }
             match self.exchange(conn, bytes, deadline) {
                 Ok(resp) => return Ok(resp),
                 Err(failure) => {
-                    self.stats.record_pool_reuse_miss();
+                    self.stats.add(Counter::PoolReuseMisses, 1);
                     if failure.response_started && !idempotent {
                         return Err(failure.err);
                     }
                 }
             }
         } else {
-            self.stats.record_pool_reuse_miss();
+            self.stats.add(Counter::PoolReuseMisses, 1);
         }
         let conn = self.dial(deadline)?;
         self.exchange(conn, bytes, deadline).map_err(|f| f.err)
@@ -357,7 +357,7 @@ impl PooledTransport {
             }
             None => TcpStream::connect(&self.addr)?,
         };
-        self.stats.record_connection();
+        self.stats.add(Counter::Connections, 1);
         Ok(conn)
     }
 
@@ -410,8 +410,7 @@ impl PooledTransport {
             err,
             response_started: true,
         })?;
-        self.stats
-            .record_exchange(bytes.len(), resp.to_bytes().len());
+        self.stats.record_exchange(bytes.len(), resp.wire_len());
         self.pool.checkin(&self.addr, conn, &self.stats);
         Ok(resp)
     }
@@ -513,14 +512,14 @@ impl Transport for PooledTransport {
                         }
                     }
                     retry += 1;
-                    self.stats.record_retry();
+                    self.stats.add(Counter::Retries, 1);
                     std::thread::sleep(hint);
                 }
                 Err(err) => {
-                    self.stats.record_error();
+                    self.stats.add(Counter::Errors, 1);
                     let timed_out = matches!(err, WireError::Timeout(_)) || is_timeout_io(&err);
                     if timed_out && deadline.as_ref().is_some_and(Deadline::expired) {
-                        self.stats.record_timeout();
+                        self.stats.add(Counter::Timeouts, 1);
                         return Err(WireError::Timeout(format!(
                             "{} after {retry} retries",
                             self.addr
@@ -530,13 +529,13 @@ impl Transport for PooledTransport {
                         return Err(err);
                     }
                     retry += 1;
-                    self.stats.record_retry();
+                    self.stats.add(Counter::Retries, 1);
                     let mut pause = self.retry.backoff(retry);
                     if let Some(d) = &deadline {
                         match d.remaining() {
                             Some(left) => pause = pause.min(left),
                             None => {
-                                self.stats.record_timeout();
+                                self.stats.add(Counter::Timeouts, 1);
                                 return Err(WireError::Timeout(format!(
                                     "{} after {retry} retries",
                                     self.addr

@@ -26,7 +26,7 @@ use parking_lot::RwLock;
 use crate::chaos::ServerChaos;
 use crate::dispatch::{Inbox, Pipeline};
 use crate::http::{Request, Response, Status};
-use crate::stats::WireStats;
+use crate::stats::{Counter, WireStats};
 use crate::Result;
 
 /// Server concurrency regime. The blocking arm is the thread-per-connection
@@ -284,7 +284,7 @@ fn spawn_blocking(
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                stats.record_connection();
+                stats.add(Counter::Connections, 1);
                 let item = (stream, Instant::now());
                 if config.queue_cap.is_none() {
                     // Legacy arm: block until a worker frees a slot.
@@ -299,7 +299,7 @@ fn spawn_blocking(
                             // shed fault with a retry hint instead of
                             // letting the queue (and client latency)
                             // grow without bound.
-                            stats.record_shed_queue_full();
+                            stats.add(Counter::ShedQueueFull, 1);
                             let fault = Response::shed_fault(
                                 &format!("accept queue at capacity ({cap})"),
                                 config.shed_retry_after_ms,
@@ -311,7 +311,7 @@ fn spawn_blocking(
                         Err(TrySendError::Disconnected(_)) => break,
                     }
                 }
-                stats.record_queue_depth(tx.len() as u64);
+                stats.max(Counter::QueueDepthHighWater, tx.len() as u64);
             }
         })
     };

@@ -6,16 +6,23 @@
 //! server update a shared [`WireStats`]; the harness reads a
 //! [`StatsSnapshot`] before and after a workload and diffs.
 //!
+//! Every counter is declared once, in the `wire_counters!` table below:
+//! its [`Counter`] variant, its [`StatsSnapshot`] field, its doc line and
+//! its kind (a sum, a maximum or a gauge). The atomic storage, the
+//! snapshot and [`StatsSnapshot::since`] are derived from that table, so
+//! a counter cannot be stored without being snapshotted or diffed.
+//!
 //! Beyond the per-instance wire counters, a snapshot also surfaces the XML
 //! substrate's escape/unescape fast-path counters
 //! ([`portalws_xml::stats`]). Those are process-global; each [`WireStats`]
-//! baselines them at construction (and again on [`WireStats::reset`]) so a
-//! snapshot reports activity since this instance started counting, and
-//! `since()` diffs scope them to a workload like every other counter.
+//! keeps the [`SubstrateCounters`] value taken at construction and reports
+//! the difference, so a snapshot covers activity since this instance
+//! started counting, and `since()` scopes them to a workload like every
+//! other counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use portalws_xml::stats as xml_stats;
+use portalws_xml::stats::{self as xml_stats, SubstrateCounters};
 
 /// Fault classes injected by `wire::chaos`, counted per class so a soak
 /// run (E12) can report how many of each failure shape the schedule
@@ -62,6 +69,182 @@ impl ChaosClass {
             ChaosClass::Drop => "drop",
         }
     }
+
+    /// The counter injections of this class are tallied in.
+    fn counter(self) -> Counter {
+        match self {
+            ChaosClass::ConnectRefused => Counter::ChaosConnectRefused,
+            ChaosClass::MidStreamClose => Counter::ChaosMidStreamCloses,
+            ChaosClass::Truncation => Counter::ChaosTruncations,
+            ChaosClass::Corruption => Counter::ChaosCorruptions,
+            ChaosClass::Delay => Counter::ChaosDelays,
+            ChaosClass::StaleClose => Counter::ChaosStaleCloses,
+            ChaosClass::Drop => Counter::ChaosDrops,
+        }
+    }
+}
+
+/// How [`StatsSnapshot::since`] treats a counter.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A monotone total: the interval reports the difference.
+    Sum,
+    /// A high-water mark: the later value carries over.
+    Max,
+    /// A current level: the later value carries over.
+    Gauge,
+}
+
+impl Kind {
+    fn since(self, later: u64, earlier: u64) -> u64 {
+        match self {
+            Kind::Sum => later - earlier,
+            Kind::Max | Kind::Gauge => later,
+        }
+    }
+}
+
+/// Derives [`Counter`], [`StatsSnapshot`] and its `since()` from one
+/// table: `Variant => snapshot_field: Kind` rows for the `WireStats`
+/// counters, then the substrate fields copied from [`SubstrateCounters`].
+macro_rules! wire_counters {
+    (
+        counters { $( $(#[$doc:meta])* $counter:ident => $field:ident : $kind:ident, )* }
+        substrate { $( $(#[$sub_doc:meta])* $sub:ident, )* }
+    ) => {
+        /// One [`WireStats`] counter, named for [`WireStats::add`] and
+        /// [`WireStats::max`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $( $(#[$doc])* $counter, )*
+        }
+
+        const COUNT: usize = [$(Counter::$counter),*].len();
+
+        /// A point-in-time copy of the counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $( $(#[$doc])* pub $field: u64, )*
+            $( $(#[$sub_doc])* pub $sub: u64, )*
+        }
+
+        impl StatsSnapshot {
+            fn from_counts(counts: [u64; COUNT], xml: SubstrateCounters) -> StatsSnapshot {
+                let [$($field),*] = counts;
+                StatsSnapshot { $($field,)* $($sub: xml.$sub,)* }
+            }
+
+            fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $( Counter::$counter => self.$field, )*
+                }
+            }
+
+            /// Difference since an earlier snapshot (`self - earlier`).
+            ///
+            /// Maximums and gauges are not monotone sums, so the later
+            /// snapshot's value carries over unchanged.
+            pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $field: Kind::$kind.since(self.$field, earlier.$field), )*
+                    $( $sub: self.$sub - earlier.$sub, )*
+                }
+            }
+        }
+    };
+}
+
+wire_counters! {
+    counters {
+        /// Request/response exchanges completed.
+        Requests => requests: Sum,
+        /// TCP connections opened (always 0 for the in-memory transport).
+        Connections => connections: Sum,
+        /// Bytes written toward the server.
+        BytesSent => bytes_sent: Sum,
+        /// Bytes read back from the server.
+        BytesReceived => bytes_received: Sum,
+        /// Failed exchanges.
+        Errors => errors: Sum,
+        /// Pool checkouts satisfied by a live idle connection.
+        PoolReuseHits => pool_reuse_hits: Sum,
+        /// Pool checkouts that dialed a fresh connection (empty pool, or
+        /// the idle connection turned out to be dead).
+        PoolReuseMisses => pool_reuse_misses: Sum,
+        /// Idle connections discarded by the pool (over-age, over-count,
+        /// or found dead at checkout).
+        PoolEvictions => pool_evictions: Sum,
+        /// Idempotent requests re-sent after a failure.
+        Retries => retries: Sum,
+        /// Calls abandoned at their deadline.
+        Timeouts => timeouts: Sum,
+        /// Worker serialize-scratch reallocations (growths). Flat after
+        /// warmup: the buffer reaches its high-water size once and every
+        /// later response on a keep-alive connection reuses it.
+        ScratchGrowths => scratch_growths: Sum,
+        /// Largest worker serialize-scratch capacity seen (bytes).
+        ScratchHighWater => scratch_high_water: Max,
+        /// Requests that consumed bytes but failed to parse (answered 400).
+        BadRequests => bad_requests: Sum,
+        /// Connections currently registered with a reactor worker.
+        OpenConnections => open_connections: Gauge,
+        /// Most connections simultaneously open across the server's lifetime.
+        ConnectionsHighWater => connections_high_water: Max,
+        /// Injected connect-refused faults.
+        ChaosConnectRefused => chaos_connect_refused: Sum,
+        /// Injected mid-stream connection closes.
+        ChaosMidStreamCloses => chaos_mid_stream_closes: Sum,
+        /// Injected response truncations.
+        ChaosTruncations => chaos_truncations: Sum,
+        /// Injected header/body corruptions.
+        ChaosCorruptions => chaos_corruptions: Sum,
+        /// Injected pacing delays.
+        ChaosDelays => chaos_delays: Sum,
+        /// Injected stale-keep-alive closes.
+        ChaosStaleCloses => chaos_stale_closes: Sum,
+        /// Responses dropped by server-side chaos.
+        ChaosDrops => chaos_drops: Sum,
+        /// Chunk round-trips completed by streaming transfers (E13).
+        TransferChunks => transfer_chunks: Sum,
+        /// File-content bytes moved by streaming transfers.
+        TransferBytes => transfer_bytes: Sum,
+        /// Largest per-transfer reorder/pending buffering seen (bytes),
+        /// making "bounded memory" an asserted number rather than a claim.
+        TransferBufferHighWater => transfer_buffer_high_water: Max,
+        /// Reads served from a `ReadCache` without touching the wire.
+        CacheHits => cache_hits: Sum,
+        /// Cacheable reads that performed the wire call (cold/expired/stale).
+        CacheMisses => cache_misses: Sum,
+        /// Cached entries discarded after an observed generation bump.
+        CacheInvalidations => cache_invalidations: Sum,
+        /// Lookups satisfied by attaching to an identical in-flight call.
+        CoalescedCalls => coalesced_calls: Sum,
+        /// Assertion verifications answered from the positive-result cache.
+        AuthVerifyCached => auth_verify_cached: Sum,
+        /// Pool reuse hits whose request was a cache-fill read, so E6 can
+        /// attribute wins to caching vs pooling separately.
+        PoolCacheFillHits => pool_cache_fill_hits: Sum,
+        /// Requests shed because the admission queue was at capacity.
+        ShedQueueFull => shed_queue_full: Sum,
+        /// Requests shed pre-dispatch with an already-expired deadline budget.
+        ShedDeadline => shed_deadline: Sum,
+        /// Requests shed by a per-tenant quota (token bucket empty).
+        ShedQuota => shed_quota: Sum,
+        /// Deepest admission-queue backlog seen (high-water mark).
+        QueueDepthHighWater => queue_depth_high_water: Max,
+        /// Times a reactor worker paused its listener at the connection cap.
+        ListenerPauses => listener_pauses: Sum,
+    }
+    substrate {
+        /// `escape_text`/`escape_attr` calls that borrowed (no allocation).
+        escape_borrowed,
+        /// Escape calls that had to allocate an escaped copy.
+        escape_owned,
+        /// `unescape` calls that borrowed (no allocation).
+        unescape_borrowed,
+        /// Unescape calls that had to allocate a resolved copy.
+        unescape_owned,
+    }
 }
 
 /// Shared, lock-free wire counters. All methods use relaxed ordering: the
@@ -69,48 +252,8 @@ impl ChaosClass {
 /// use the weakest ordering that is correct for the purpose).
 #[derive(Debug)]
 pub struct WireStats {
-    requests: AtomicU64,
-    connections: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    errors: AtomicU64,
-    pool_reuse_hits: AtomicU64,
-    pool_reuse_misses: AtomicU64,
-    pool_evictions: AtomicU64,
-    retries: AtomicU64,
-    timeouts: AtomicU64,
-    scratch_growths: AtomicU64,
-    scratch_high_water: AtomicU64,
-    bad_requests: AtomicU64,
-    conns_open: AtomicU64,
-    connections_high_water: AtomicU64,
-    chaos_connect_refused: AtomicU64,
-    chaos_mid_stream_closes: AtomicU64,
-    chaos_truncations: AtomicU64,
-    chaos_corruptions: AtomicU64,
-    chaos_delays: AtomicU64,
-    chaos_stale_closes: AtomicU64,
-    chaos_drops: AtomicU64,
-    transfer_chunks: AtomicU64,
-    transfer_bytes: AtomicU64,
-    transfer_buffer_high_water: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_invalidations: AtomicU64,
-    coalesced_calls: AtomicU64,
-    auth_verify_cached: AtomicU64,
-    pool_cache_fill_hits: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_deadline: AtomicU64,
-    shed_quota: AtomicU64,
-    queue_depth_high_water: AtomicU64,
-    listener_pauses: AtomicU64,
-    // Baseline of the process-global substrate counters, captured at
-    // construction/reset so snapshots report deltas, not process history.
-    base_escape_borrowed: AtomicU64,
-    base_escape_owned: AtomicU64,
-    base_unescape_borrowed: AtomicU64,
-    base_unescape_owned: AtomicU64,
+    counts: [AtomicU64; COUNT],
+    xml_base: SubstrateCounters,
 }
 
 impl Default for WireStats {
@@ -122,477 +265,76 @@ impl Default for WireStats {
 impl WireStats {
     /// New zeroed counters, baselining the substrate counters at now.
     pub fn new() -> Self {
-        let base = xml_stats::snapshot();
         WireStats {
-            requests: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            pool_reuse_hits: AtomicU64::new(0),
-            pool_reuse_misses: AtomicU64::new(0),
-            pool_evictions: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            scratch_growths: AtomicU64::new(0),
-            scratch_high_water: AtomicU64::new(0),
-            bad_requests: AtomicU64::new(0),
-            conns_open: AtomicU64::new(0),
-            connections_high_water: AtomicU64::new(0),
-            chaos_connect_refused: AtomicU64::new(0),
-            chaos_mid_stream_closes: AtomicU64::new(0),
-            chaos_truncations: AtomicU64::new(0),
-            chaos_corruptions: AtomicU64::new(0),
-            chaos_delays: AtomicU64::new(0),
-            chaos_stale_closes: AtomicU64::new(0),
-            chaos_drops: AtomicU64::new(0),
-            transfer_chunks: AtomicU64::new(0),
-            transfer_bytes: AtomicU64::new(0),
-            transfer_buffer_high_water: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_invalidations: AtomicU64::new(0),
-            coalesced_calls: AtomicU64::new(0),
-            auth_verify_cached: AtomicU64::new(0),
-            pool_cache_fill_hits: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            shed_quota: AtomicU64::new(0),
-            queue_depth_high_water: AtomicU64::new(0),
-            listener_pauses: AtomicU64::new(0),
-            base_escape_borrowed: AtomicU64::new(base.escape_borrowed),
-            base_escape_owned: AtomicU64::new(base.escape_owned),
-            base_unescape_borrowed: AtomicU64::new(base.unescape_borrowed),
-            base_unescape_owned: AtomicU64::new(base.unescape_owned),
+            counts: [const { AtomicU64::new(0) }; COUNT],
+            xml_base: xml_stats::snapshot(),
+        }
+    }
+
+    fn cell(&self, counter: Counter) -> Option<&AtomicU64> {
+        self.counts.get(counter as usize)
+    }
+
+    /// Add `n` to a sum counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        if let Some(cell) = self.cell(counter) {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Raise a high-water counter to `value` if it is below it.
+    pub fn max(&self, counter: Counter, value: u64) {
+        if let Some(cell) = self.cell(counter) {
+            cell.fetch_max(value, Ordering::Relaxed);
         }
     }
 
     /// Record one request/response exchange with its byte sizes.
     pub fn record_exchange(&self, sent: usize, received: usize) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(sent as u64, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(received as u64, Ordering::Relaxed);
-    }
-
-    /// Record one TCP connection established.
-    pub fn record_connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one failed exchange.
-    pub fn record_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a pool checkout satisfied by a live idle connection.
-    pub fn record_pool_reuse_hit(&self) {
-        self.pool_reuse_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a pool checkout that had to dial (empty pool, or the idle
-    /// connection turned out to be dead).
-    pub fn record_pool_reuse_miss(&self) {
-        self.pool_reuse_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record idle connections discarded by the pool (over-age, over-count,
-    /// or found dead at checkout).
-    pub fn record_pool_evictions(&self, n: u64) {
-        self.pool_evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one retry of an idempotent request after a failure.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one call abandoned because its deadline expired.
-    pub fn record_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one growth (reallocation) of a worker's reusable serialize
-    /// scratch. On a warm keep-alive connection this stays flat: the buffer
-    /// reaches its high-water size once and every later response reuses it.
-    pub fn record_scratch_growth(&self) {
-        self.scratch_growths.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the current capacity of a worker's serialize scratch; the
-    /// snapshot keeps the maximum seen across all workers.
-    pub fn record_scratch_high_water(&self, capacity: u64) {
-        self.scratch_high_water
-            .fetch_max(capacity, Ordering::Relaxed);
-    }
-
-    /// Record one request that consumed bytes but failed to parse and was
-    /// answered with a `400` SOAP fault.
-    pub fn record_bad_request(&self) {
-        self.bad_requests.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Requests, 1);
+        self.add(Counter::BytesSent, sent as u64);
+        self.add(Counter::BytesReceived, received as u64);
     }
 
     /// Record a connection entering service (reactor registration); bumps
     /// the open-connection gauge and its high-water mark.
     pub fn record_conn_open(&self) {
-        let open = self.conns_open.fetch_add(1, Ordering::Relaxed) + 1;
-        self.connections_high_water
-            .fetch_max(open, Ordering::Relaxed);
+        if let Some(open) = self.cell(Counter::OpenConnections) {
+            let open = open.fetch_add(1, Ordering::Relaxed) + 1;
+            self.max(Counter::ConnectionsHighWater, open);
+        }
     }
 
     /// Record a connection leaving service (closed/deregistered).
     pub fn record_conn_close(&self) {
-        // Saturating decrement: a stray close must not wrap the gauge.
-        let _ = self
-            .conns_open
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+        if let Some(open) = self.cell(Counter::OpenConnections) {
+            // Saturating decrement: a stray close must not wrap the gauge.
+            let _ = open.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+        }
     }
 
     /// Record one injected fault of the given class.
     pub fn record_chaos(&self, class: ChaosClass) {
-        let counter = match class {
-            ChaosClass::ConnectRefused => &self.chaos_connect_refused,
-            ChaosClass::MidStreamClose => &self.chaos_mid_stream_closes,
-            ChaosClass::Truncation => &self.chaos_truncations,
-            ChaosClass::Corruption => &self.chaos_corruptions,
-            ChaosClass::Delay => &self.chaos_delays,
-            ChaosClass::StaleClose => &self.chaos_stale_closes,
-            ChaosClass::Drop => &self.chaos_drops,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one chunk round-trip of a streaming transfer (E13) carrying
-    /// `payload` bytes of file content.
-    pub fn record_transfer_chunk(&self, payload: usize) {
-        self.record_transfer_chunks(1, payload as u64);
+        self.add(class.counter(), 1);
     }
 
     /// Record a batch of completed transfer chunk round-trips at once
     /// (a finished transfer reporting its totals).
     pub fn record_transfer_chunks(&self, chunks: u64, payload: u64) {
-        self.transfer_chunks.fetch_add(chunks, Ordering::Relaxed);
-        self.transfer_bytes.fetch_add(payload, Ordering::Relaxed);
-    }
-
-    /// Record the bytes a transfer currently holds in reorder/pending
-    /// buffers; the snapshot keeps the maximum, making "bounded memory"
-    /// an asserted number rather than a claim.
-    pub fn record_transfer_buffer(&self, bytes: u64) {
-        self.transfer_buffer_high_water
-            .fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Record one read served straight from a `ReadCache` without touching
-    /// the wire.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one cacheable read that had to perform the wire call (cold
-    /// entry, expired TTL, or invalidated by a generation bump).
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one cached entry discarded because the service's observed
-    /// generation moved past the entry's generation.
-    pub fn record_cache_invalidation(&self) {
-        self.cache_invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one lookup satisfied by attaching to an identical in-flight
-    /// call instead of issuing its own (single-flight follower).
-    pub fn record_coalesced_call(&self) {
-        self.coalesced_calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one assertion verification answered from the auth service's
-    /// positive-result cache instead of recomputing the MAC.
-    pub fn record_auth_verify_cached(&self) {
-        self.auth_verify_cached.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a pool reuse hit that served a cache-fill request (a read
-    /// issued because a `ReadCache` missed), so E6 can attribute wins to
-    /// caching vs pooling separately.
-    pub fn record_pool_cache_fill_hit(&self) {
-        self.pool_cache_fill_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request shed because the server's accept/request queue
-    /// was at capacity (answered with a `Retry-After` SOAP fault).
-    pub fn record_shed_queue_full(&self) {
-        self.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request shed pre-dispatch because its `X-Deadline-Ms`
-    /// budget was already spent when the server got to it.
-    pub fn record_shed_deadline(&self) {
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one request shed by a per-tenant quota (token bucket empty).
-    pub fn record_shed_quota(&self) {
-        self.shed_quota.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the current depth of the server's admission queue; the
-    /// snapshot keeps the maximum, so "bounded queue" is an asserted
-    /// number rather than a claim.
-    pub fn record_queue_depth(&self, depth: u64) {
-        self.queue_depth_high_water
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Record one pause of the reactor's listener registration because a
-    /// worker hit its max-connections cap (accepting resumes on close).
-    pub fn record_listener_pause(&self) {
-        self.listener_pauses.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::TransferChunks, chunks);
+        self.add(Counter::TransferBytes, payload);
     }
 
     /// Read all counters at once.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let xml = xml_stats::snapshot();
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            pool_reuse_hits: self.pool_reuse_hits.load(Ordering::Relaxed),
-            pool_reuse_misses: self.pool_reuse_misses.load(Ordering::Relaxed),
-            pool_evictions: self.pool_evictions.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            scratch_growths: self.scratch_growths.load(Ordering::Relaxed),
-            scratch_high_water: self.scratch_high_water.load(Ordering::Relaxed),
-            bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            open_connections: self.conns_open.load(Ordering::Relaxed),
-            connections_high_water: self.connections_high_water.load(Ordering::Relaxed),
-            chaos_connect_refused: self.chaos_connect_refused.load(Ordering::Relaxed),
-            chaos_mid_stream_closes: self.chaos_mid_stream_closes.load(Ordering::Relaxed),
-            chaos_truncations: self.chaos_truncations.load(Ordering::Relaxed),
-            chaos_corruptions: self.chaos_corruptions.load(Ordering::Relaxed),
-            chaos_delays: self.chaos_delays.load(Ordering::Relaxed),
-            chaos_stale_closes: self.chaos_stale_closes.load(Ordering::Relaxed),
-            chaos_drops: self.chaos_drops.load(Ordering::Relaxed),
-            transfer_chunks: self.transfer_chunks.load(Ordering::Relaxed),
-            transfer_bytes: self.transfer_bytes.load(Ordering::Relaxed),
-            transfer_buffer_high_water: self.transfer_buffer_high_water.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-            coalesced_calls: self.coalesced_calls.load(Ordering::Relaxed),
-            auth_verify_cached: self.auth_verify_cached.load(Ordering::Relaxed),
-            pool_cache_fill_hits: self.pool_cache_fill_hits.load(Ordering::Relaxed),
-            shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            shed_quota: self.shed_quota.load(Ordering::Relaxed),
-            queue_depth_high_water: self.queue_depth_high_water.load(Ordering::Relaxed),
-            listener_pauses: self.listener_pauses.load(Ordering::Relaxed),
-            escape_borrowed: xml
-                .escape_borrowed
-                .wrapping_sub(self.base_escape_borrowed.load(Ordering::Relaxed)),
-            escape_owned: xml
-                .escape_owned
-                .wrapping_sub(self.base_escape_owned.load(Ordering::Relaxed)),
-            unescape_borrowed: xml
-                .unescape_borrowed
-                .wrapping_sub(self.base_unescape_borrowed.load(Ordering::Relaxed)),
-            unescape_owned: xml
-                .unescape_owned
-                .wrapping_sub(self.base_unescape_owned.load(Ordering::Relaxed)),
-        }
+        StatsSnapshot::from_counts(
+            self.counts.each_ref().map(|c| c.load(Ordering::Relaxed)),
+            xml_stats::snapshot().since(&self.xml_base),
+        )
     }
-
-    /// Reset all counters to zero and re-baseline the substrate counters.
-    pub fn reset(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.connections.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.bytes_received.store(0, Ordering::Relaxed);
-        self.errors.store(0, Ordering::Relaxed);
-        self.pool_reuse_hits.store(0, Ordering::Relaxed);
-        self.pool_reuse_misses.store(0, Ordering::Relaxed);
-        self.pool_evictions.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.scratch_growths.store(0, Ordering::Relaxed);
-        self.scratch_high_water.store(0, Ordering::Relaxed);
-        self.bad_requests.store(0, Ordering::Relaxed);
-        self.conns_open.store(0, Ordering::Relaxed);
-        self.connections_high_water.store(0, Ordering::Relaxed);
-        self.chaos_connect_refused.store(0, Ordering::Relaxed);
-        self.chaos_mid_stream_closes.store(0, Ordering::Relaxed);
-        self.chaos_truncations.store(0, Ordering::Relaxed);
-        self.chaos_corruptions.store(0, Ordering::Relaxed);
-        self.chaos_delays.store(0, Ordering::Relaxed);
-        self.chaos_stale_closes.store(0, Ordering::Relaxed);
-        self.chaos_drops.store(0, Ordering::Relaxed);
-        self.transfer_chunks.store(0, Ordering::Relaxed);
-        self.transfer_bytes.store(0, Ordering::Relaxed);
-        self.transfer_buffer_high_water.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_invalidations.store(0, Ordering::Relaxed);
-        self.coalesced_calls.store(0, Ordering::Relaxed);
-        self.auth_verify_cached.store(0, Ordering::Relaxed);
-        self.pool_cache_fill_hits.store(0, Ordering::Relaxed);
-        self.shed_queue_full.store(0, Ordering::Relaxed);
-        self.shed_deadline.store(0, Ordering::Relaxed);
-        self.shed_quota.store(0, Ordering::Relaxed);
-        self.queue_depth_high_water.store(0, Ordering::Relaxed);
-        self.listener_pauses.store(0, Ordering::Relaxed);
-        let base = xml_stats::snapshot();
-        self.base_escape_borrowed
-            .store(base.escape_borrowed, Ordering::Relaxed);
-        self.base_escape_owned
-            .store(base.escape_owned, Ordering::Relaxed);
-        self.base_unescape_borrowed
-            .store(base.unescape_borrowed, Ordering::Relaxed);
-        self.base_unescape_owned
-            .store(base.unescape_owned, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Request/response exchanges completed.
-    pub requests: u64,
-    /// TCP connections opened (always 0 for the in-memory transport).
-    pub connections: u64,
-    /// Bytes written toward the server.
-    pub bytes_sent: u64,
-    /// Bytes read back from the server.
-    pub bytes_received: u64,
-    /// Failed exchanges.
-    pub errors: u64,
-    /// Pool checkouts satisfied by a live idle connection.
-    pub pool_reuse_hits: u64,
-    /// Pool checkouts that dialed a fresh connection.
-    pub pool_reuse_misses: u64,
-    /// Idle connections discarded by the pool.
-    pub pool_evictions: u64,
-    /// Idempotent requests re-sent after a failure.
-    pub retries: u64,
-    /// Calls abandoned at their deadline.
-    pub timeouts: u64,
-    /// Worker serialize-scratch reallocations (growths). Flat after warmup.
-    pub scratch_growths: u64,
-    /// Largest worker serialize-scratch capacity seen (bytes).
-    pub scratch_high_water: u64,
-    /// Requests that consumed bytes but failed to parse (answered 400).
-    pub bad_requests: u64,
-    /// Connections currently registered with a reactor worker (gauge).
-    pub open_connections: u64,
-    /// Most connections simultaneously open across the server's lifetime.
-    pub connections_high_water: u64,
-    /// Injected connect-refused faults.
-    pub chaos_connect_refused: u64,
-    /// Injected mid-stream connection closes.
-    pub chaos_mid_stream_closes: u64,
-    /// Injected response truncations.
-    pub chaos_truncations: u64,
-    /// Injected header/body corruptions.
-    pub chaos_corruptions: u64,
-    /// Injected pacing delays.
-    pub chaos_delays: u64,
-    /// Injected stale-keep-alive closes.
-    pub chaos_stale_closes: u64,
-    /// Responses dropped by server-side chaos.
-    pub chaos_drops: u64,
-    /// Chunk round-trips completed by streaming transfers (E13).
-    pub transfer_chunks: u64,
-    /// File-content bytes moved by streaming transfers.
-    pub transfer_bytes: u64,
-    /// Largest per-transfer reorder/pending buffering seen (bytes).
-    pub transfer_buffer_high_water: u64,
-    /// Reads served from a `ReadCache` without touching the wire.
-    pub cache_hits: u64,
-    /// Cacheable reads that performed the wire call (cold/expired/stale).
-    pub cache_misses: u64,
-    /// Cached entries discarded after an observed generation bump.
-    pub cache_invalidations: u64,
-    /// Lookups satisfied by attaching to an identical in-flight call.
-    pub coalesced_calls: u64,
-    /// Assertion verifications answered from the positive-result cache.
-    pub auth_verify_cached: u64,
-    /// Pool reuse hits whose request was a cache-fill read.
-    pub pool_cache_fill_hits: u64,
-    /// Requests shed because the admission queue was at capacity.
-    pub shed_queue_full: u64,
-    /// Requests shed pre-dispatch with an already-expired deadline budget.
-    pub shed_deadline: u64,
-    /// Requests shed by a per-tenant quota (token bucket empty).
-    pub shed_quota: u64,
-    /// Deepest admission-queue backlog seen (high-water mark).
-    pub queue_depth_high_water: u64,
-    /// Times a reactor worker paused its listener at the connection cap.
-    pub listener_pauses: u64,
-    /// `escape_text`/`escape_attr` calls that borrowed (no allocation).
-    pub escape_borrowed: u64,
-    /// Escape calls that had to allocate an escaped copy.
-    pub escape_owned: u64,
-    /// `unescape` calls that borrowed (no allocation).
-    pub unescape_borrowed: u64,
-    /// Unescape calls that had to allocate a resolved copy.
-    pub unescape_owned: u64,
 }
 
 impl StatsSnapshot {
-    /// Difference since an earlier snapshot (`self - earlier`).
-    ///
-    /// `scratch_high_water` is a maximum, not a monotone sum, so the later
-    /// snapshot's value carries over unchanged.
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests - earlier.requests,
-            connections: self.connections - earlier.connections,
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-            bytes_received: self.bytes_received - earlier.bytes_received,
-            errors: self.errors - earlier.errors,
-            pool_reuse_hits: self.pool_reuse_hits - earlier.pool_reuse_hits,
-            pool_reuse_misses: self.pool_reuse_misses - earlier.pool_reuse_misses,
-            pool_evictions: self.pool_evictions - earlier.pool_evictions,
-            retries: self.retries - earlier.retries,
-            timeouts: self.timeouts - earlier.timeouts,
-            scratch_growths: self.scratch_growths - earlier.scratch_growths,
-            scratch_high_water: self.scratch_high_water,
-            bad_requests: self.bad_requests - earlier.bad_requests,
-            // A gauge and a maximum, not monotone sums: carry over.
-            open_connections: self.open_connections,
-            connections_high_water: self.connections_high_water,
-            chaos_connect_refused: self.chaos_connect_refused - earlier.chaos_connect_refused,
-            chaos_mid_stream_closes: self.chaos_mid_stream_closes - earlier.chaos_mid_stream_closes,
-            chaos_truncations: self.chaos_truncations - earlier.chaos_truncations,
-            chaos_corruptions: self.chaos_corruptions - earlier.chaos_corruptions,
-            chaos_delays: self.chaos_delays - earlier.chaos_delays,
-            chaos_stale_closes: self.chaos_stale_closes - earlier.chaos_stale_closes,
-            chaos_drops: self.chaos_drops - earlier.chaos_drops,
-            transfer_chunks: self.transfer_chunks - earlier.transfer_chunks,
-            transfer_bytes: self.transfer_bytes - earlier.transfer_bytes,
-            transfer_buffer_high_water: self.transfer_buffer_high_water,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_invalidations: self.cache_invalidations - earlier.cache_invalidations,
-            coalesced_calls: self.coalesced_calls - earlier.coalesced_calls,
-            auth_verify_cached: self.auth_verify_cached - earlier.auth_verify_cached,
-            pool_cache_fill_hits: self.pool_cache_fill_hits - earlier.pool_cache_fill_hits,
-            shed_queue_full: self.shed_queue_full - earlier.shed_queue_full,
-            shed_deadline: self.shed_deadline - earlier.shed_deadline,
-            shed_quota: self.shed_quota - earlier.shed_quota,
-            // A maximum, not a monotone sum: carry over.
-            queue_depth_high_water: self.queue_depth_high_water,
-            listener_pauses: self.listener_pauses - earlier.listener_pauses,
-            escape_borrowed: self.escape_borrowed - earlier.escape_borrowed,
-            escape_owned: self.escape_owned - earlier.escape_owned,
-            unescape_borrowed: self.unescape_borrowed - earlier.unescape_borrowed,
-            unescape_owned: self.unescape_owned - earlier.unescape_owned,
-        }
-    }
-
     /// Total traffic in both directions.
     pub fn total_bytes(&self) -> u64 {
         self.bytes_sent + self.bytes_received
@@ -600,15 +342,7 @@ impl StatsSnapshot {
 
     /// Count for one injected-fault class.
     pub fn chaos_class(&self, class: ChaosClass) -> u64 {
-        match class {
-            ChaosClass::ConnectRefused => self.chaos_connect_refused,
-            ChaosClass::MidStreamClose => self.chaos_mid_stream_closes,
-            ChaosClass::Truncation => self.chaos_truncations,
-            ChaosClass::Corruption => self.chaos_corruptions,
-            ChaosClass::Delay => self.chaos_delays,
-            ChaosClass::StaleClose => self.chaos_stale_closes,
-            ChaosClass::Drop => self.chaos_drops,
-        }
+        self.get(class.counter())
     }
 
     /// Total injected faults across all classes.
@@ -632,21 +366,12 @@ impl StatsSnapshot {
     /// Fraction of escape calls that avoided allocating, in `[0, 1]`.
     /// Returns 1.0 when no escapes ran (nothing allocated).
     pub fn escape_fast_path_rate(&self) -> f64 {
-        fast_path_rate(self.escape_borrowed, self.escape_owned)
+        xml_stats::fast_path_rate(self.escape_borrowed, self.escape_owned)
     }
 
     /// Fraction of unescape calls that avoided allocating, in `[0, 1]`.
     pub fn unescape_fast_path_rate(&self) -> f64 {
-        fast_path_rate(self.unescape_borrowed, self.unescape_owned)
-    }
-}
-
-fn fast_path_rate(borrowed: u64, owned: u64) -> f64 {
-    let total = borrowed + owned;
-    if total == 0 {
-        1.0
-    } else {
-        borrowed as f64 / total as f64
+        xml_stats::fast_path_rate(self.unescape_borrowed, self.unescape_owned)
     }
 }
 
@@ -658,10 +383,10 @@ mod tests {
     #[test]
     fn records_and_snapshots() {
         let s = WireStats::new();
-        s.record_connection();
+        s.add(Counter::Connections, 1);
         s.record_exchange(100, 250);
         s.record_exchange(10, 20);
-        s.record_error();
+        s.add(Counter::Errors, 1);
         let snap = s.snapshot();
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.connections, 1);
@@ -674,12 +399,12 @@ mod tests {
     #[test]
     fn pool_counters_snapshot_and_diff() {
         let s = WireStats::new();
-        s.record_pool_reuse_miss();
-        s.record_pool_reuse_hit();
-        s.record_pool_reuse_hit();
-        s.record_pool_evictions(3);
-        s.record_retry();
-        s.record_timeout();
+        s.add(Counter::PoolReuseMisses, 1);
+        s.add(Counter::PoolReuseHits, 1);
+        s.add(Counter::PoolReuseHits, 1);
+        s.add(Counter::PoolEvictions, 3);
+        s.add(Counter::Retries, 1);
+        s.add(Counter::Timeouts, 1);
         let snap = s.snapshot();
         assert_eq!(snap.pool_reuse_hits, 2);
         assert_eq!(snap.pool_reuse_misses, 1);
@@ -687,22 +412,8 @@ mod tests {
         assert_eq!(snap.retries, 1);
         assert_eq!(snap.timeouts, 1);
         let before = snap;
-        s.record_pool_reuse_hit();
+        s.add(Counter::PoolReuseHits, 1);
         assert_eq!(s.snapshot().since(&before).pool_reuse_hits, 1);
-        s.reset();
-        assert_eq!(wire_only(s.snapshot()), StatsSnapshot::default());
-    }
-
-    /// Mask the substrate fields, which mirror process-global counters
-    /// that other (parallel) tests may bump between reset and snapshot.
-    fn wire_only(snap: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            escape_borrowed: 0,
-            escape_owned: 0,
-            unescape_borrowed: 0,
-            unescape_owned: 0,
-            ..snap
-        }
     }
 
     #[test]
@@ -723,8 +434,6 @@ mod tests {
         let delta = s.snapshot().since(&before);
         assert_eq!(delta.chaos_total(), 1);
         assert_eq!(delta.chaos_class(ChaosClass::StaleClose), 1);
-        s.reset();
-        assert_eq!(wire_only(s.snapshot()), StatsSnapshot::default());
     }
 
     #[test]
@@ -739,26 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
-        let s = WireStats::new();
-        s.record_exchange(1, 1);
-        s.record_scratch_growth();
-        s.record_scratch_high_water(512);
-        s.reset();
-        assert_eq!(wire_only(s.snapshot()), StatsSnapshot::default());
-    }
-
-    #[test]
     fn scratch_counters_track_growth_and_high_water() {
         let s = WireStats::new();
-        s.record_scratch_growth();
-        s.record_scratch_high_water(4096);
-        s.record_scratch_high_water(1024); // lower watermark: ignored
+        s.add(Counter::ScratchGrowths, 1);
+        s.max(Counter::ScratchHighWater, 4096);
+        s.max(Counter::ScratchHighWater, 1024); // lower watermark: ignored
         let snap = s.snapshot();
         assert_eq!(snap.scratch_growths, 1);
         assert_eq!(snap.scratch_high_water, 4096);
         let before = snap;
-        s.record_scratch_high_water(8192);
+        s.max(Counter::ScratchHighWater, 8192);
         let delta = s.snapshot().since(&before);
         assert_eq!(delta.scratch_growths, 0);
         // A high-water mark is not a sum; the later value carries over.
@@ -772,7 +471,7 @@ mod tests {
         s.record_conn_open();
         s.record_conn_open();
         s.record_conn_close();
-        s.record_bad_request();
+        s.add(Counter::BadRequests, 1);
         let snap = s.snapshot();
         assert_eq!(snap.open_connections, 2);
         assert_eq!(snap.connections_high_water, 3);
@@ -788,45 +487,41 @@ mod tests {
         s.record_conn_close();
         s.record_conn_close();
         assert_eq!(s.snapshot().open_connections, 0);
-        s.reset();
-        assert_eq!(wire_only(s.snapshot()), StatsSnapshot::default());
     }
 
     #[test]
     fn transfer_counters_track_chunks_bytes_and_high_water() {
         let s = WireStats::new();
-        s.record_transfer_chunk(65536);
-        s.record_transfer_chunk(65536);
-        s.record_transfer_chunk(100);
-        s.record_transfer_buffer(131072);
-        s.record_transfer_buffer(4096); // lower watermark: ignored
+        s.record_transfer_chunks(1, 65536);
+        s.record_transfer_chunks(1, 65536);
+        s.record_transfer_chunks(1, 100);
+        s.max(Counter::TransferBufferHighWater, 131072);
+        s.max(Counter::TransferBufferHighWater, 4096); // lower watermark: ignored
         let snap = s.snapshot();
         assert_eq!(snap.transfer_chunks, 3);
         assert_eq!(snap.transfer_bytes, 131172);
         assert_eq!(snap.transfer_buffer_high_water, 131072);
         let before = snap;
-        s.record_transfer_chunk(1);
-        s.record_transfer_buffer(262144);
+        s.record_transfer_chunks(1, 1);
+        s.max(Counter::TransferBufferHighWater, 262144);
         let delta = s.snapshot().since(&before);
         assert_eq!(delta.transfer_chunks, 1);
         assert_eq!(delta.transfer_bytes, 1);
         // High-water is a maximum, not a sum; the later value carries over.
         assert_eq!(delta.transfer_buffer_high_water, 262144);
-        s.reset();
-        assert_eq!(wire_only(s.snapshot()), StatsSnapshot::default());
     }
 
     #[test]
     fn cache_counters_snapshot_diff_and_rate() {
         let s = WireStats::new();
-        s.record_cache_miss();
-        s.record_cache_hit();
-        s.record_cache_hit();
-        s.record_cache_hit();
-        s.record_coalesced_call();
-        s.record_cache_invalidation();
-        s.record_auth_verify_cached();
-        s.record_pool_cache_fill_hit();
+        s.add(Counter::CacheMisses, 1);
+        s.add(Counter::CacheHits, 1);
+        s.add(Counter::CacheHits, 1);
+        s.add(Counter::CacheHits, 1);
+        s.add(Counter::CoalescedCalls, 1);
+        s.add(Counter::CacheInvalidations, 1);
+        s.add(Counter::AuthVerifyCached, 1);
+        s.add(Counter::PoolCacheFillHits, 1);
         let snap = s.snapshot();
         assert_eq!(snap.cache_hits, 3);
         assert_eq!(snap.cache_misses, 1);
@@ -838,26 +533,24 @@ mod tests {
         assert!((snap.cache_hit_rate() - 0.8).abs() < 1e-9);
         assert_eq!(StatsSnapshot::default().cache_hit_rate(), 0.0);
         let before = snap;
-        s.record_cache_hit();
-        s.record_auth_verify_cached();
+        s.add(Counter::CacheHits, 1);
+        s.add(Counter::AuthVerifyCached, 1);
         let delta = s.snapshot().since(&before);
         assert_eq!(delta.cache_hits, 1);
         assert_eq!(delta.cache_misses, 0);
         assert_eq!(delta.auth_verify_cached, 1);
-        s.reset();
-        assert_eq!(wire_only(s.snapshot()), StatsSnapshot::default());
     }
 
     #[test]
     fn shed_counters_track_and_diff() {
         let s = WireStats::new();
-        s.record_shed_queue_full();
-        s.record_shed_queue_full();
-        s.record_shed_deadline();
-        s.record_shed_quota();
-        s.record_queue_depth(7);
-        s.record_queue_depth(3); // lower watermark: ignored
-        s.record_listener_pause();
+        s.add(Counter::ShedQueueFull, 1);
+        s.add(Counter::ShedQueueFull, 1);
+        s.add(Counter::ShedDeadline, 1);
+        s.add(Counter::ShedQuota, 1);
+        s.max(Counter::QueueDepthHighWater, 7);
+        s.max(Counter::QueueDepthHighWater, 3); // lower watermark: ignored
+        s.add(Counter::ListenerPauses, 1);
         let snap = s.snapshot();
         assert_eq!(snap.shed_queue_full, 2);
         assert_eq!(snap.shed_deadline, 1);
@@ -865,15 +558,13 @@ mod tests {
         assert_eq!(snap.queue_depth_high_water, 7);
         assert_eq!(snap.listener_pauses, 1);
         let before = snap;
-        s.record_shed_deadline();
-        s.record_queue_depth(12);
+        s.add(Counter::ShedDeadline, 1);
+        s.max(Counter::QueueDepthHighWater, 12);
         let delta = s.snapshot().since(&before);
         assert_eq!(delta.shed_queue_full, 0);
         assert_eq!(delta.shed_deadline, 1);
         // A high-water mark is not a sum; the later value carries over.
         assert_eq!(delta.queue_depth_high_water, 12);
-        s.reset();
-        assert_eq!(wire_only(s.snapshot()), StatsSnapshot::default());
     }
 
     #[test]

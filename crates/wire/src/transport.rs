@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 
 use crate::http::{Request, Response};
 use crate::server::Handler;
-use crate::stats::WireStats;
+use crate::stats::{Counter, WireStats};
 use crate::{Result, WireError};
 
 /// A client transport: performs one request/response exchange.
@@ -74,8 +74,7 @@ impl HttpTransport {
             conn.flush()?;
         }
         let resp = Response::read_from(&*conn)?;
-        self.stats
-            .record_exchange(bytes.len(), resp.to_bytes().len());
+        self.stats.record_exchange(bytes.len(), resp.wire_len());
         Ok(resp)
     }
 }
@@ -87,7 +86,7 @@ impl Transport for HttpTransport {
                 None => {
                     let bytes = req.to_bytes();
                     let mut conn = TcpStream::connect(&self.addr)?;
-                    self.stats.record_connection();
+                    self.stats.add(Counter::Connections, 1);
                     self.exchange_on(&mut conn, &bytes)
                 }
                 Some(pool) => {
@@ -103,14 +102,14 @@ impl Transport for HttpTransport {
                         }
                     }
                     let mut conn = TcpStream::connect(&self.addr)?;
-                    self.stats.record_connection();
+                    self.stats.add(Counter::Connections, 1);
                     let resp = self.exchange_on(&mut conn, &bytes)?;
                     *slot = Some(conn);
                     Ok(resp)
                 }
             }
         };
-        run().inspect_err(|_| self.stats.record_error())
+        run().inspect_err(|_| self.stats.add(Counter::Errors, 1))
     }
 
     fn stats(&self) -> Arc<WireStats> {

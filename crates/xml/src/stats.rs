@@ -57,22 +57,14 @@ impl SubstrateCounters {
             unescape_owned: self.unescape_owned.wrapping_sub(earlier.unescape_owned),
         }
     }
-
-    /// Fraction of escape calls that avoided allocation (0.0 when none ran).
-    pub fn escape_fast_path_rate(&self) -> f64 {
-        rate(self.escape_borrowed, self.escape_owned)
-    }
-
-    /// Fraction of unescape calls that avoided allocation.
-    pub fn unescape_fast_path_rate(&self) -> f64 {
-        rate(self.unescape_borrowed, self.unescape_owned)
-    }
 }
 
-fn rate(hit: u64, miss: u64) -> f64 {
+/// Fraction of `hit + miss` calls that took the borrowing fast path, in
+/// `[0, 1]`. Returns 1.0 when no call ran (nothing allocated).
+pub fn fast_path_rate(hit: u64, miss: u64) -> f64 {
     let total = hit + miss;
     if total == 0 {
-        0.0
+        1.0
     } else {
         hit as f64 / total as f64
     }
@@ -109,11 +101,6 @@ mod tests {
         let d = a.since(&b);
         assert_eq!(d.escape_borrowed, 6);
         assert_eq!(d.escape_owned, 0);
-        assert!((d.escape_fast_path_rate() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn rate_of_empty_is_zero() {
-        assert_eq!(SubstrateCounters::default().escape_fast_path_rate(), 0.0);
+        assert!((fast_path_rate(d.escape_borrowed, d.escape_owned) - 1.0).abs() < f64::EPSILON);
     }
 }
