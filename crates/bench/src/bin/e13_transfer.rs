@@ -27,6 +27,10 @@
 //!
 //! Exits nonzero if any chunked run's peak buffering exceeds
 //! (window + 1) × chunk — the bounded-memory claim is the gate.
+//!
+//! A `codec` row records, from the same run, the speed of the base64
+//! kernel every chunk goes through: `base64::encode` and `decode` MiB/s on
+//! the 1 MiB payload. It is recorded only, not gated.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,7 +38,7 @@ use std::time::Instant;
 use portalws_core::{TransferClient, TransferConfig};
 use portalws_gridsim::Srb;
 use portalws_services::DataManagementService;
-use portalws_soap::{SoapClient, SoapValue};
+use portalws_soap::{base64, SoapClient, SoapValue};
 use portalws_wire::{Handler, HttpServer, PooledTransport, ServerHandle};
 
 const MIB: usize = 1024 * 1024;
@@ -67,6 +71,34 @@ fn payload(size: usize) -> Vec<u8> {
         i = i.wrapping_add(1);
     }
     out
+}
+
+/// Timed passes per codec direction; the median is reported.
+const CODEC_PASSES: usize = 9;
+
+/// Same-run speed of the base64 kernel on `body`: `(encode, decode)` in
+/// MiB of payload per second, each the median of [`CODEC_PASSES`] passes.
+fn codec_mib_s(body: &[u8]) -> (f64, f64) {
+    let mib = body.len() as f64 / MIB as f64;
+    let text = base64::encode(body);
+    let median_rate = |pass: &dyn Fn()| {
+        let mut secs: Vec<f64> = (0..CODEC_PASSES)
+            .map(|_| {
+                let t0 = Instant::now();
+                pass();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect();
+        secs.sort_by(f64::total_cmp);
+        mib / secs[CODEC_PASSES / 2]
+    };
+    let encode = median_rate(&|| {
+        std::hint::black_box(base64::encode(std::hint::black_box(body)));
+    });
+    let decode = median_rate(&|| {
+        std::hint::black_box(base64::decode(std::hint::black_box(&text)));
+    });
+    (encode, decode)
 }
 
 struct Rig {
@@ -231,6 +263,9 @@ fn main() {
         );
     };
 
+    let codec_body = payload(MIB);
+    let (encode_mib_s, decode_mib_s) = codec_mib_s(&codec_body);
+
     let mut rows: Vec<Row> = Vec::new();
     for &size in sizes {
         let body = payload(size);
@@ -253,6 +288,11 @@ fn main() {
             }
         }
     }
+
+    println!(
+        "\n  codec    {:>8}  base64 encode {encode_mib_s:.1} MiB/s, decode {decode_mib_s:.1} MiB/s",
+        codec_body.len()
+    );
 
     // --- The bounded-memory gate -----------------------------------------
     // Client residency is bounded by window × chunk by construction, and
@@ -314,7 +354,10 @@ fn main() {
                 if i + 1 < rows.len() { "," } else { "" },
             ));
         }
-        doc.push_str("  ]\n}\n");
+        doc.push_str(&format!(
+            "  ],\n  \"codec\": {{\"size\": {}, \"encode_mib_s\": {encode_mib_s:.2}, \"decode_mib_s\": {decode_mib_s:.2}}}\n}}\n",
+            codec_body.len()
+        ));
         std::fs::write(&path, doc).expect("write json");
         println!("\nwrote {path}");
     }

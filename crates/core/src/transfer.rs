@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use portalws_services::transfer::MAX_RESERVE_BYTES;
 use portalws_soap::{Fault, PortalErrorKind, SoapClient, SoapError, SoapValue};
 use portalws_wire::Counter;
 
@@ -174,10 +175,15 @@ impl<'a> TransferClient<'a> {
         }
     }
 
-    /// Download `path` into memory. See [`TransferClient::get_with`].
+    /// Download `path` into memory, pre-sized to the size `open_get`
+    /// announces (clamped to [`MAX_RESERVE_BYTES`]). See
+    /// [`TransferClient::get_with`].
     pub fn get(&self, path: &str) -> Result<(Vec<u8>, TransferReport), SoapError> {
+        let (handle, size) = self.open_get(path)?;
         let mut out = Vec::new();
-        let report = self.get_with(path, |chunk| out.extend_from_slice(chunk))?;
+        // A hint: if the reservation is refused the buffer grows as it fills.
+        let _ = out.try_reserve_exact(size.min(MAX_RESERVE_BYTES));
+        let report = self.stream_get(handle, size, |chunk| out.extend_from_slice(chunk))?;
         Ok((out, report))
     }
 
@@ -186,8 +192,14 @@ impl<'a> TransferClient<'a> {
     pub fn get_with(
         &self,
         path: &str,
-        mut sink: impl FnMut(&[u8]),
+        sink: impl FnMut(&[u8]),
     ) -> Result<TransferReport, SoapError> {
+        let (handle, size) = self.open_get(path)?;
+        self.stream_get(handle, size, sink)
+    }
+
+    /// Open a read handle: `(handle, size)`.
+    fn open_get(&self, path: &str) -> Result<(String, usize), SoapError> {
         let opened = self.call_retry("open_get", &[SoapValue::str(path)])?;
         let handle = opened
             .field("handle")
@@ -199,6 +211,16 @@ impl<'a> TransferClient<'a> {
             .and_then(|v| v.as_i64())
             .and_then(|n| usize::try_from(n).ok())
             .ok_or_else(|| SoapError::Protocol("open_get reply missing size".into()))?;
+        Ok((handle, size))
+    }
+
+    /// Read the `size` bytes behind an open read handle into `sink`.
+    fn stream_get(
+        &self,
+        handle: String,
+        size: usize,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<TransferReport, SoapError> {
         let chunk = self.cfg.chunk_bytes.max(1);
         let window = self.cfg.window.max(1);
         let budget = window.saturating_mul(chunk);
@@ -250,23 +272,21 @@ impl<'a> TransferClient<'a> {
                     );
                     let mut st = state.lock().expect("transfer lock");
                     match fetched {
-                        Ok(v) => match v.as_bytes() {
-                            Some(data) if data.len() == len => {
-                                st.done.insert(off, data.to_vec());
-                                st.chunks += 1;
-                            }
-                            Some(data) => {
-                                st.failed.get_or_insert(SoapError::Protocol(format!(
-                                    "get_chunk at {off} returned {} bytes, wanted {len}",
-                                    data.len()
-                                )));
-                            }
-                            None => {
-                                st.failed.get_or_insert(SoapError::Protocol(
-                                    "get_chunk reply was not base64 data".into(),
-                                ));
-                            }
-                        },
+                        Ok(SoapValue::Base64(data)) if data.len() == len => {
+                            st.done.insert(off, data);
+                            st.chunks += 1;
+                        }
+                        Ok(SoapValue::Base64(data)) => {
+                            st.failed.get_or_insert(SoapError::Protocol(format!(
+                                "get_chunk at {off} returned {} bytes, wanted {len}",
+                                data.len()
+                            )));
+                        }
+                        Ok(_) => {
+                            st.failed.get_or_insert(SoapError::Protocol(
+                                "get_chunk reply was not base64 data".into(),
+                            ));
+                        }
                         Err(e) => {
                             st.failed.get_or_insert(e);
                         }
@@ -321,7 +341,10 @@ impl<'a> TransferClient<'a> {
     /// partial is abandoned via `abort`.
     pub fn put(&self, path: &str, data: &[u8]) -> Result<TransferReport, SoapError> {
         let handle = self
-            .call_retry("open_put", &[SoapValue::str(path)])?
+            .call_retry(
+                "open_put",
+                &[SoapValue::str(path), SoapValue::Int(data.len() as i64)],
+            )?
             .as_str()
             .ok_or_else(|| SoapError::Protocol("open_put reply was not a handle".into()))?
             .to_owned();
@@ -570,5 +593,45 @@ mod tests {
             .map(|e| e.name)
             .collect();
         assert!(names.iter().all(|n| !n.starts_with(".part-")), "{names:?}");
+    }
+
+    /// A `DataManagement` that claims every object is `i64::MAX` bytes
+    /// long and then serves empty chunks.
+    struct HugeSizeStub;
+
+    impl portalws_soap::SoapService for HugeSizeStub {
+        fn name(&self) -> &str {
+            "DataManagement"
+        }
+
+        fn invoke(
+            &self,
+            method: &str,
+            _args: &[(String, SoapValue)],
+            _ctx: &portalws_soap::CallContext,
+        ) -> portalws_soap::SoapResult<SoapValue> {
+            Ok(match method {
+                "open_get" => SoapValue::Struct(vec![
+                    ("handle".into(), SoapValue::str("t-1")),
+                    ("size".into(), SoapValue::Int(i64::MAX)),
+                ]),
+                "get_chunk" => SoapValue::Base64(Vec::new()),
+                _ => SoapValue::Null,
+            })
+        }
+
+        fn methods(&self) -> Vec<portalws_soap::MethodDesc> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn a_huge_announced_size_is_a_protocol_error_not_an_allocation() {
+        let server = SoapServer::new();
+        server.mount(Arc::new(HugeSizeStub));
+        let handler: Arc<dyn Handler> = Arc::new(server);
+        let client = SoapClient::new(Arc::new(InMemoryTransport::new(handler)), "DataManagement");
+        let err = TransferClient::new(&client).get("/data/any").unwrap_err();
+        assert!(matches!(err, SoapError::Protocol(_)), "{err:?}");
     }
 }

@@ -639,6 +639,48 @@ impl Srb {
         }
     }
 
+    /// Reserve room for `additional` more bytes in an existing object so
+    /// that appends up to that size do not reallocate: the size hint of a
+    /// chunked `put` (E13). When the top-level collection carries a quota
+    /// the reservation is clamped to its headroom. It is a hint only: it
+    /// changes neither the object's bytes nor what a later write may
+    /// store, it is not a storage operation (no simulated service time),
+    /// and a reservation the allocator refuses is skipped. Returns the
+    /// bytes reserved.
+    pub fn reserve_capacity(
+        &self,
+        principal: &str,
+        path: &str,
+        additional: usize,
+    ) -> SrbResult<usize> {
+        let segs = split(path)?;
+        let idx = self.stripe_for(&segs);
+        let mut state = self.stripes[idx].state.write();
+        Self::check_access(&state, principal, &segs)?;
+        let (name, dirs) = Self::leaf(&segs)?;
+        let top = segs
+            .first()
+            .copied()
+            .ok_or_else(|| SrbError::Invalid("empty path".into()))?;
+        let mut room = additional;
+        if let Some(&quota) = state.quotas.get(top) {
+            let used = Self::collection_size(Self::descend(&state.root, &segs[..1])?);
+            room = room.min(quota.saturating_sub(used));
+        }
+        let col = Self::descend_mut(&mut state.root, dirs)?;
+        match col.children.get_mut(name) {
+            Some(Node::Object(bytes)) => Ok(if bytes.try_reserve_exact(room).is_ok() {
+                room
+            } else {
+                0
+            }),
+            Some(Node::Collection(_)) => {
+                Err(SrbError::Invalid(format!("{name:?} is a collection")))
+            }
+            None => Err(SrbError::NotFound(path.to_owned())),
+        }
+    }
+
     /// Source-side validation for a move/copy: the principal may access
     /// the tree and the source is an existing object. Returns its size.
     fn peek_object_size(
@@ -1046,6 +1088,34 @@ mod tests {
         let acl = Srb::testbed(&["alice"]);
         assert!(matches!(
             acl.append_at("mallory", "/home-alice/f", 0, b"x"),
+            Err(SrbError::PermissionDenied(_))
+        ));
+    }
+
+    #[test]
+    fn reserve_is_clamped_to_quota_headroom_and_stores_nothing() {
+        let srb = Srb::new();
+        srb.mkdir("/small").unwrap();
+        srb.set_quota("/small", 10);
+        srb.append_at("u", "/small/f", 0, b"123").unwrap();
+        assert_eq!(srb.reserve_capacity("u", "/small/f", 1 << 20).unwrap(), 7);
+        assert_eq!(srb.stat("u", "/small/f").unwrap(), 3);
+        // The reservation does not let a write past the quota.
+        assert!(matches!(
+            srb.append_at("u", "/small/f", 3, b"12345678"),
+            Err(SrbError::DiskFull { .. })
+        ));
+        srb.mkdir("/open").unwrap();
+        srb.append_at("u", "/open/f", 0, b"").unwrap();
+        assert_eq!(srb.reserve_capacity("u", "/open/f", 4096).unwrap(), 4096);
+        assert!(matches!(
+            srb.reserve_capacity("u", "/open/ghost", 1),
+            Err(SrbError::NotFound(_))
+        ));
+        let acl = Srb::testbed(&["alice"]);
+        acl.append_at("alice", "/home-alice/f", 0, b"").unwrap();
+        assert!(matches!(
+            acl.reserve_capacity("mallory", "/home-alice/f", 1),
             Err(SrbError::PermissionDenied(_))
         ));
     }

@@ -30,6 +30,19 @@ pub struct DataManagementService {
     transfers: TransferTable,
 }
 
+/// An optional trailing non-negative integer argument: absent or nil is
+/// `None`; anything else must parse as [`arg_usize`] does.
+pub(crate) fn arg_opt_usize(
+    args: &[(String, SoapValue)],
+    i: usize,
+    name: &str,
+) -> SoapResult<Option<usize>> {
+    match args.get(i) {
+        None | Some((_, SoapValue::Null)) => Ok(None),
+        Some(_) => arg_usize(args, i, name).map(Some),
+    }
+}
+
 impl DataManagementService {
     /// Wrap a broker.
     pub fn new(srb: Arc<Srb>) -> DataManagementService {
@@ -296,9 +309,10 @@ impl SoapService for DataManagementService {
             }
             "open_put" => {
                 let path = arg_str(args, 0, "path")?;
+                let size = arg_opt_usize(args, 1, "size")?;
                 let handle = self
                     .transfers
-                    .open_put(&principal, path)
+                    .open_put(&principal, path, size)
                     .map_err(|e| e.to_fault())?;
                 Ok(SoapValue::String(handle))
             }
@@ -434,9 +448,9 @@ impl SoapService for DataManagementService {
             ),
             MethodDesc::new(
                 "open_put",
-                vec![("path", SoapType::String)],
+                vec![("path", SoapType::String), ("size", SoapType::Int)],
                 SoapType::String,
-                "Open a chunked write handle staging beside the destination",
+                "Open a chunked write handle staging beside the destination; size (optional) pre-sizes staging",
             ),
             MethodDesc::new(
                 "put_chunk",
@@ -810,5 +824,89 @@ mod tests {
             err.as_fault().and_then(|f| f.kind()),
             Some(PortalErrorKind::BadArguments)
         );
+    }
+
+    /// Put `payload` in 3 KiB chunks through a handle opened with `hint`
+    /// as its size argument (no size argument when `None`); returns the
+    /// committed total.
+    fn hinted_put(
+        c: &SoapClient,
+        path: &str,
+        hint: Option<i64>,
+        payload: &[u8],
+    ) -> Result<i64, SoapError> {
+        let mut args = vec![SoapValue::str(path)];
+        args.extend(hint.map(SoapValue::Int));
+        let handle = c.call("open_put", &args)?.as_str().unwrap().to_owned();
+        let chunk = 3 * 1024;
+        for (i, piece) in payload.chunks(chunk).enumerate() {
+            c.call(
+                "put_chunk",
+                &[
+                    SoapValue::str(handle.clone()),
+                    SoapValue::Int((i * chunk) as i64),
+                    SoapValue::Base64(piece.to_vec()),
+                ],
+            )?;
+        }
+        Ok(c.call("commit", &[SoapValue::str(handle)])?
+            .as_i64()
+            .unwrap())
+    }
+
+    #[test]
+    fn open_put_size_hint_never_decides_what_is_committed() {
+        let (srb, c) = client();
+        let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        let n = payload.len() as i64;
+        let hints = [
+            None,
+            Some(0),
+            Some(n / 2),
+            Some(n),
+            Some(3 * n),
+            Some(i64::MAX),
+        ];
+        for (i, hint) in hints.into_iter().enumerate() {
+            let path = format!("/data/hinted-{i}");
+            assert_eq!(
+                hinted_put(&c, &path, hint, &payload).unwrap(),
+                n,
+                "{hint:?}"
+            );
+            assert_eq!(srb.get("anonymous", &path).unwrap(), payload, "{hint:?}");
+        }
+
+        // A negative size faults like any other bad argument and opens
+        // no staging object.
+        let err = hinted_put(&c, "/data/negative", Some(-1), &payload).unwrap_err();
+        assert_eq!(
+            err.as_fault().and_then(|f| f.kind()),
+            Some(PortalErrorKind::BadArguments)
+        );
+        let names: Vec<String> = srb
+            .ls("anonymous", "/data")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert!(names.iter().all(|n| !n.starts_with(".part-")), "{names:?}");
+
+        // Under a quota the reservation is clamped to the headroom: a hint
+        // past the quota still commits exactly what was sent, and a put
+        // past the quota still faults however little it announced.
+        srb.mkdir("/small").unwrap();
+        srb.set_quota("/small", 16 * 1024);
+        assert_eq!(
+            hinted_put(&c, "/small/f", Some(i64::MAX), &payload).unwrap(),
+            n
+        );
+        assert_eq!(srb.get("anonymous", "/small/f").unwrap(), payload);
+        let err = hinted_put(&c, "/small/g", Some(1), &payload).unwrap_err();
+        assert_eq!(
+            err.as_fault().and_then(|f| f.kind()),
+            Some(PortalErrorKind::DiskFull)
+        );
+        assert_eq!(srb.get("anonymous", "/small/f").unwrap(), payload);
     }
 }

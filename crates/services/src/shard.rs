@@ -55,7 +55,7 @@ use portalws_wire::ArcCell;
 use portalws_xml::Element;
 
 use crate::caller_principal;
-use crate::data::{arg_str, arg_usize, srb_fault, DataManagementService};
+use crate::data::{arg_opt_usize, arg_str, arg_usize, srb_fault, DataManagementService};
 
 /// Virtual nodes per shard on the ring. Enough that 64 top-level
 /// collections over 4 shards balance within the e16 gate (max/mean ≤
@@ -424,25 +424,25 @@ impl ShardedDataService {
     ) -> SoapResult<String> {
         let src_b = self.backend(si)?;
         let dst_b = self.backend(di)?;
-        let dst_handle = dst_b
+        let (src_handle, size) = src_b
             .transfers()
-            .open_put(principal, dst_path)
+            .open_get(principal, src_path)
             .map_err(|e| e.to_fault())?;
         if let Some(rec) = self.moves.lock().get_mut(&id) {
-            rec.dst_handle = Some(dst_handle.clone());
+            rec.src_handle = Some(src_handle.clone());
         }
-        let (src_handle, size) = match src_b.transfers().open_get(principal, src_path) {
-            Ok(opened) => opened,
+        let dst_handle = match dst_b.transfers().open_put(principal, dst_path, Some(size)) {
+            Ok(handle) => handle,
             Err(e) => {
-                let _ = dst_b.transfers().abort(principal, &dst_handle);
+                let _ = src_b.transfers().abort(principal, &src_handle);
                 if let Some(rec) = self.moves.lock().get_mut(&id) {
-                    rec.dst_handle = None;
+                    rec.src_handle = None;
                 }
                 return Err(e.to_fault());
             }
         };
         if let Some(rec) = self.moves.lock().get_mut(&id) {
-            rec.src_handle = Some(src_handle.clone());
+            rec.dst_handle = Some(dst_handle.clone());
         }
         let stream = (|| -> SoapResult<()> {
             let mut off = 0usize;
@@ -839,11 +839,12 @@ impl SoapService for ShardedDataService {
             }
             "open_put" => {
                 let path = arg_str(args, 0, "path")?;
+                let size = arg_opt_usize(args, 1, "size")?;
                 let k = self.owner_of(path).unwrap_or(0);
                 let handle = self
                     .backend(k)?
                     .transfers()
-                    .open_put(&principal, path)
+                    .open_put(&principal, path, size)
                     .map_err(|e| e.to_fault())?;
                 Ok(SoapValue::String(format!("s{k}/{handle}")))
             }
@@ -983,9 +984,9 @@ impl SoapService for ShardedDataService {
             ),
             MethodDesc::new(
                 "open_put",
-                vec![("path", SoapType::String)],
+                vec![("path", SoapType::String), ("size", SoapType::Int)],
                 SoapType::String,
-                "Open a chunked write handle staging beside the destination",
+                "Open a chunked write handle staging beside the destination; size (optional) pre-sizes staging",
             ),
             MethodDesc::new(
                 "put_chunk",
@@ -1182,6 +1183,40 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn routed_open_put_takes_the_size_hint_and_faults_a_negative_one() {
+        let (svc, c) = client(4);
+        let (a, _) = two_cross_shard_tops(&svc);
+        svc.mkdir(&format!("/{a}")).unwrap();
+        let path = format!("/{a}/hinted.bin");
+        let handle = c
+            .call(
+                "open_put",
+                &[SoapValue::str(&path), SoapValue::Int(i64::MAX)],
+            )
+            .unwrap();
+        let handle = handle.as_str().unwrap().to_owned();
+        c.call(
+            "put_chunk",
+            &[
+                SoapValue::str(handle.clone()),
+                SoapValue::Int(0),
+                SoapValue::Base64(b"abc".to_vec()),
+            ],
+        )
+        .unwrap();
+        let total = c.call("commit", &[SoapValue::str(handle)]).unwrap();
+        assert_eq!(total.as_i64(), Some(3));
+        assert_eq!(svc.get_bytes("anonymous", &path).unwrap(), b"abc");
+        let err = c
+            .call("open_put", &[SoapValue::str(&path), SoapValue::Int(-1)])
+            .unwrap_err();
+        assert_eq!(
+            err.as_fault().and_then(|f| f.kind()),
+            Some(PortalErrorKind::BadArguments)
+        );
     }
 
     #[test]

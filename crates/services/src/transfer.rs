@@ -48,6 +48,12 @@ use crate::data::srb_fault;
 /// expansion and XML framing.
 pub const MAX_CHUNK_BYTES: usize = 4 * 1024 * 1024;
 
+/// Cap on the memory a transfer's announced size may pre-reserve: the
+/// server's staging object on `open_put` and the client's download buffer
+/// on `get`. A larger transfer still works; past the cap its buffer grows
+/// as it fills.
+pub const MAX_RESERVE_BYTES: usize = 64 * 1024 * 1024;
+
 /// Default cap on concurrently open handles (gets + puts) per service.
 pub const DEFAULT_MAX_HANDLES: usize = 64;
 
@@ -437,7 +443,17 @@ impl TransferTable {
     /// Open a write handle: creates the (empty) staging object so quota
     /// and ACL surface immediately, not at the first chunk. Safe to retry:
     /// a duplicate open just allocates a second handle, which idles out.
-    pub fn open_put(&self, principal: &str, path: &str) -> TransferResult<String> {
+    ///
+    /// `size` is the client's announced total. It only pre-sizes staging,
+    /// clamped to [`MAX_RESERVE_BYTES`] and to the collection's quota
+    /// headroom; what is stored, acknowledged and committed is decided by
+    /// the chunks alone.
+    pub fn open_put(
+        &self,
+        principal: &str,
+        path: &str,
+        size: Option<usize>,
+    ) -> TransferResult<String> {
         let now = Instant::now();
         self.reserve_slot(now)?;
         let id = self.fresh_id();
@@ -449,6 +465,12 @@ impl TransferTable {
         if let Err(e) = self.srb.append_at(principal, &staging, 0, b"") {
             self.release_slot();
             return Err(TransferError::Srb(e));
+        }
+        if let Some(size) = size {
+            // A hint: a refused reservation changes nothing.
+            let _ = self
+                .srb
+                .reserve_capacity(principal, &staging, size.min(MAX_RESERVE_BYTES));
         }
         let Some(stripe) = self.stripe_of_id(id) else {
             self.release_slot();
@@ -545,14 +567,14 @@ impl TransferTable {
             h.pending.insert(off, data.to_vec());
             return Ok(h.next_off);
         }
-        // Contiguous: append, then drain any parked chunks that became
-        // contiguous. Appends happen under the stripe lock so the staging
-        // length and `next_off` can never diverge.
+        // Contiguous: append it where it lies, then drain any parked
+        // chunks that became contiguous. Appends happen under the stripe
+        // lock so the staging length and `next_off` can never diverge.
         let principal_owned = h.principal.clone();
         let staging = h.staging.clone();
         let pending_before = h.pending_bytes;
         let mut frontier = off.saturating_add(data.len());
-        let mut to_append: Vec<Vec<u8>> = vec![data.to_vec()];
+        let mut drained: Vec<Vec<u8>> = Vec::new();
         let drain: TransferResult<()> = loop {
             let head = h
                 .pending
@@ -582,7 +604,7 @@ impl TransferTable {
             if let Some(pdata) = h.pending.remove(&poff) {
                 h.pending_bytes = h.pending_bytes.saturating_sub(pdata.len());
                 frontier = frontier.saturating_add(pdata.len());
-                to_append.push(pdata);
+                drained.push(pdata);
             }
         };
         let mut acked = h.next_off;
@@ -590,7 +612,7 @@ impl TransferTable {
             Err(e) => Err(e),
             Ok(()) => {
                 let mut out = Ok(());
-                for chunk in &to_append {
+                for chunk in std::iter::once(data).chain(drained.iter().map(Vec::as_slice)) {
                     match self
                         .srb
                         .append_at(&principal_owned, &staging, h.next_off, chunk)
@@ -738,7 +760,7 @@ mod tests {
     #[test]
     fn put_in_order_commit_promotes_atomically() {
         let (srb, t) = table();
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         assert_eq!(t.put_chunk("u", &h, 0, b"hello ").unwrap(), 6);
         assert_eq!(t.put_chunk("u", &h, 6, b"world").unwrap(), 11);
         // Destination does not exist until commit.
@@ -758,7 +780,7 @@ mod tests {
     #[test]
     fn put_zero_length_round_trips() {
         let (srb, t) = table();
-        let h = t.open_put("u", "/data/empty").unwrap();
+        let h = t.open_put("u", "/data/empty", None).unwrap();
         assert_eq!(t.commit("u", &h).unwrap(), 0);
         assert_eq!(srb.get("u", "/data/empty").unwrap(), b"");
     }
@@ -766,7 +788,7 @@ mod tests {
     #[test]
     fn duplicate_put_chunk_is_acknowledged_not_reapplied() {
         let (srb, t) = table();
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         assert_eq!(t.put_chunk("u", &h, 0, b"abc").unwrap(), 3);
         // Retry of the same chunk (lost response).
         assert_eq!(t.put_chunk("u", &h, 0, b"abc").unwrap(), 3);
@@ -778,7 +800,7 @@ mod tests {
     #[test]
     fn out_of_order_chunks_park_then_drain() {
         let (srb, t) = table();
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         // Window of 3 racing across connections: chunk 2 and 1 land first.
         assert_eq!(t.put_chunk("u", &h, 6, b"ghi").unwrap(), 0);
         assert_eq!(t.put_chunk("u", &h, 3, b"def").unwrap(), 0);
@@ -794,7 +816,7 @@ mod tests {
     #[test]
     fn commit_with_gap_is_incomplete() {
         let (_, t) = table();
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         t.put_chunk("u", &h, 0, b"abc").unwrap();
         t.put_chunk("u", &h, 6, b"ghi").unwrap();
         assert!(matches!(
@@ -806,7 +828,7 @@ mod tests {
     #[test]
     fn retried_commit_and_abort_are_idempotent() {
         let (srb, t) = table();
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         t.put_chunk("u", &h, 0, b"xyz").unwrap();
         assert_eq!(t.commit("u", &h).unwrap(), 3);
         // Retry (response was lost): same answer, no fault.
@@ -820,7 +842,7 @@ mod tests {
     #[test]
     fn abort_reclaims_staging() {
         let (srb, t) = table();
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         t.put_chunk("u", &h, 0, b"partial").unwrap();
         t.abort("u", &h).unwrap();
         assert!(srb.get("u", "/data/out").is_err());
@@ -863,7 +885,7 @@ mod tests {
     fn buffer_budget_is_busy() {
         let (srb, _) = table();
         let t = TransferTable::with_caps(srb, DEFAULT_MAX_HANDLES, 4);
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         // Out-of-order chunk larger than the budget cannot park.
         let err = t.put_chunk("u", &h, 100, b"12345").unwrap_err();
         assert!(matches!(err, TransferError::BufferLimit(4)));
@@ -876,7 +898,7 @@ mod tests {
     #[test]
     fn idle_handles_expire_and_reclaim_staging() {
         let (srb, t) = table();
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         t.put_chunk("u", &h, 0, b"data").unwrap();
         t.set_idle_ttl(Duration::ZERO);
         // Any operation sweeps; the stale handle and its staging go away.
@@ -919,7 +941,7 @@ mod tests {
     fn expiry_releases_parked_bytes_to_the_global_budget() {
         let (srb, _) = table();
         let t = TransferTable::with_caps(srb, DEFAULT_MAX_HANDLES, 8);
-        let h = t.open_put("u", "/data/out").unwrap();
+        let h = t.open_put("u", "/data/out", None).unwrap();
         // Park 6 of the 8-byte budget out of order.
         assert_eq!(t.put_chunk("u", &h, 10, b"xxxxxx").unwrap(), 0);
         assert_eq!(t.buffered_bytes(), 6);
@@ -929,7 +951,7 @@ mod tests {
         assert_eq!(t.open_handles(), 0);
         assert_eq!(t.buffered_bytes(), 0);
         t.set_idle_ttl(DEFAULT_IDLE_TTL);
-        let h2 = t.open_put("u", "/data/out2").unwrap();
+        let h2 = t.open_put("u", "/data/out2", None).unwrap();
         assert_eq!(t.put_chunk("u", &h2, 10, b"yyyyyy").unwrap(), 0);
         assert_eq!(t.buffered_bytes(), 6);
     }
@@ -942,7 +964,7 @@ mod tests {
             t.get_chunk("mallory", &h, 0, 4),
             Err(TransferError::NotYourHandle(_))
         ));
-        let hp = t.open_put("u", "/data/out").unwrap();
+        let hp = t.open_put("u", "/data/out", None).unwrap();
         assert!(matches!(
             t.put_chunk("mallory", &hp, 0, b"x"),
             Err(TransferError::NotYourHandle(_))

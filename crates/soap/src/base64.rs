@@ -4,42 +4,122 @@
 //! SAML layer. Implemented in-tree like everything else in the stack; the
 //! E5 ablation compares base64-encoded payload transfer against the paper's
 //! escaped-string streaming.
+//!
+//! There is one encoder ([`Base64Encoder`]) and one decoder
+//! ([`Base64Decoder`]); [`encode`] and [`decode`] are single-call wrappers
+//! over them, so the one-shot and the streaming paths cannot disagree.
+//! Both run a table-driven block kernel over whole groups: the encoder
+//! writes each 3-byte group as four digits at once, and the decoder maps
+//! each byte of a quad through a 256-entry table and checks all four
+//! digits with one OR-mask test. Only what the kernel cannot take — a
+//! group split across calls, whitespace, `=` padding, a bad byte — goes
+//! through the byte-at-a-time state machine.
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-/// The base64 digit for the 6 bits of `n` starting at `shift`.
-fn sextet(n: u32, shift: u32) -> char {
-    // portalint: allow(panic) — index is masked to 0..=63 over a 64-byte table
-    ALPHABET[(n >> shift) as usize & 63] as char
+/// [`DECODE`]'s mark for a byte that is not a base64 digit (`=`,
+/// whitespace and everything else). No digit value has this bit set.
+const NOT_DIGIT: u8 = 0x80;
+
+/// [`NOT_DIGIT`], short enough to keep [`DECODE`] in 16-byte rows.
+const __: u8 = NOT_DIGIT;
+
+/// The digit value of every byte, or [`NOT_DIGIT`].
+#[rustfmt::skip]
+const DECODE: [u8; 256] = [
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, 62, __, __, __, 63,
+    52, 53, 54, 55, 56, 57, 58, 59, 60, 61, __, __, __, __, __, __,
+    __,  0,  1,  2,  3,  4,  5,  6,  7,  8,  9, 10, 11, 12, 13, 14,
+    15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, __, __, __, __, __,
+    __, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40,
+    41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+    __, __, __, __, __, __, __, __, __, __, __, __, __, __, __, __,
+];
+
+/// 3-byte groups the encode kernel writes per stack block of text.
+const ENCODE_BLOCK: usize = 256;
+
+/// Quads the decode kernel decodes per step it grows the output by.
+const DECODE_BLOCK: usize = 256;
+
+/// The base64 digit for the low 6 bits of `n`.
+fn digit(n: u32) -> u8 {
+    ALPHABET.get((n & 63) as usize).copied().unwrap_or(b'A')
+}
+
+/// The value of base64 digit `c`, or [`NOT_DIGIT`].
+fn value(c: u8) -> u8 {
+    DECODE.get(usize::from(c)).copied().unwrap_or(NOT_DIGIT)
+}
+
+/// Encode kernel: append the text of whole 3-byte `groups` to `out`. Each
+/// group is written as four digits at once into a stack block, and each
+/// block is appended with one `push_str`.
+fn encode_groups(groups: &[[u8; 3]], out: &mut String) {
+    let mut text = [[0u8; 4]; ENCODE_BLOCK];
+    for block in groups.chunks(ENCODE_BLOCK) {
+        for (&[b0, b1, b2], quad) in block.iter().zip(text.iter_mut()) {
+            let n = (u32::from(b0) << 16) | (u32::from(b1) << 8) | u32::from(b2);
+            *quad = [digit(n >> 18), digit(n >> 12), digit(n >> 6), digit(n)];
+        }
+        // Every byte written is an alphabet digit, so the block is ASCII.
+        let written = text.get(..block.len()).unwrap_or_default().as_flattened();
+        if let Ok(ascii) = std::str::from_utf8(written) {
+            out.push_str(ascii);
+        }
+    }
+}
+
+/// Decode kernel: decode the leading quads of `quads` that are four
+/// digits each onto `out`, and stop at the first quad holding anything
+/// else (whitespace, `=`, a bad byte). Returns the quads decoded.
+fn decode_quads(quads: &[[u8; 4]], out: &mut Vec<u8>) -> usize {
+    let mut decoded = 0;
+    for block in quads.chunks(DECODE_BLOCK) {
+        let start = out.len();
+        out.resize(start + block.len() * 3, 0);
+        let (triples, _) = out
+            .get_mut(start..)
+            .unwrap_or_default()
+            .as_chunks_mut::<3>();
+        let mut done = 0;
+        for (&[c0, c1, c2, c3], triple) in block.iter().zip(triples) {
+            let (d0, d1, d2, d3) = (value(c0), value(c1), value(c2), value(c3));
+            if (d0 | d1 | d2 | d3) & NOT_DIGIT != 0 {
+                break;
+            }
+            let n = (u32::from(d0) << 18)
+                | (u32::from(d1) << 12)
+                | (u32::from(d2) << 6)
+                | u32::from(d3);
+            *triple = [(n >> 16) as u8, (n >> 8) as u8, n as u8];
+            done += 1;
+        }
+        out.truncate(start + done * 3);
+        decoded += done;
+        if done < block.len() {
+            break;
+        }
+    }
+    decoded
 }
 
 /// Encode bytes to base64 text.
 pub fn encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let Some((&b0, rest)) = chunk.split_first() else {
-            continue; // chunks(3) never yields an empty slice
-        };
-        let b1 = rest.first().copied().unwrap_or(0);
-        let b2 = rest.get(1).copied().unwrap_or(0);
-        let n = (u32::from(b0) << 16) | (u32::from(b1) << 8) | u32::from(b2);
-        out.push(sextet(n, 18));
-        out.push(sextet(n, 12));
-        out.push(if chunk.len() > 1 { sextet(n, 6) } else { '=' });
-        out.push(if chunk.len() > 2 { sextet(n, 0) } else { '=' });
-    }
+    let mut enc = Base64Encoder::new();
+    enc.update(data, &mut out);
+    enc.finish(&mut out);
     out
-}
-
-fn value_of(c: u8) -> Option<u32> {
-    match c {
-        b'A'..=b'Z' => Some(u32::from(c - b'A')),
-        b'a'..=b'z' => Some(u32::from(c - b'a') + 26),
-        b'0'..=b'9' => Some(u32::from(c - b'0') + 52),
-        b'+' => Some(62),
-        b'/' => Some(63),
-        _ => None,
-    }
 }
 
 /// Incremental base64 encoder: feed input in arbitrary slices (down to
@@ -50,8 +130,8 @@ fn value_of(c: u8) -> Option<u32> {
 /// is reused across chunks.
 #[derive(Debug, Default, Clone)]
 pub struct Base64Encoder {
-    carry0: u8,
-    carry1: u8,
+    /// Bytes of an incomplete group; unused slots are zero.
+    carry: [u8; 2],
     carry_len: u8,
 }
 
@@ -66,14 +146,6 @@ impl Base64Encoder {
         usize::from(self.carry_len)
     }
 
-    fn emit_group(out: &mut String, b0: u8, b1: u8, b2: u8) {
-        let n = (u32::from(b0) << 16) | (u32::from(b1) << 8) | u32::from(b2);
-        out.push(sextet(n, 18));
-        out.push(sextet(n, 12));
-        out.push(sextet(n, 6));
-        out.push(sextet(n, 0));
-    }
-
     /// Encode `data`, appending complete 4-char groups to `out` and
     /// carrying up to 2 trailing bytes for the next call.
     pub fn update(&mut self, data: &[u8], out: &mut String) {
@@ -84,29 +156,25 @@ impl Base64Encoder {
                 return;
             };
             rest = tail;
+            let [b0, b1] = self.carry;
             if self.carry_len == 1 {
-                self.carry1 = b;
+                self.carry = [b0, b];
                 self.carry_len = 2;
             } else {
-                Self::emit_group(out, self.carry0, self.carry1, b);
-                self.carry_len = 0;
+                encode_groups(&[[b0, b1, b]], out);
+                *self = Base64Encoder::default();
             }
         }
         out.reserve(rest.len().div_ceil(3) * 4);
-        let mut groups = rest.chunks_exact(3);
-        for g in &mut groups {
-            if let [b0, b1, b2] = *g {
-                Self::emit_group(out, b0, b1, b2);
-            }
-        }
-        match *groups.remainder() {
+        let (groups, tail) = rest.as_chunks::<3>();
+        encode_groups(groups, out);
+        match *tail {
             [b0] => {
-                self.carry0 = b0;
+                self.carry = [b0, 0];
                 self.carry_len = 1;
             }
             [b0, b1] => {
-                self.carry0 = b0;
-                self.carry1 = b1;
+                self.carry = [b0, b1];
                 self.carry_len = 2;
             }
             _ => {}
@@ -116,24 +184,19 @@ impl Base64Encoder {
     /// Flush the final (possibly padded) group. The encoder is reusable
     /// afterwards.
     pub fn finish(&mut self, out: &mut String) {
-        match self.carry_len {
-            1 => {
-                let n = u32::from(self.carry0) << 16;
-                out.push(sextet(n, 18));
-                out.push(sextet(n, 12));
-                out.push('=');
-                out.push('=');
-            }
-            2 => {
-                let n = (u32::from(self.carry0) << 16) | (u32::from(self.carry1) << 8);
-                out.push(sextet(n, 18));
-                out.push(sextet(n, 12));
-                out.push(sextet(n, 6));
+        let [b0, b1] = self.carry;
+        let n = (u32::from(b0) << 16) | (u32::from(b1) << 8);
+        if self.carry_len > 0 {
+            out.push(char::from(digit(n >> 18)));
+            out.push(char::from(digit(n >> 12)));
+            if self.carry_len == 2 {
+                out.push(char::from(digit(n >> 6)));
+            } else {
                 out.push('=');
             }
-            _ => {}
+            out.push('=');
         }
-        self.carry_len = 0;
+        *self = Base64Encoder::default();
     }
 }
 
@@ -143,8 +206,8 @@ impl Base64Encoder {
 /// calls is a ≤3-digit quad carry plus a padding flag.
 #[derive(Debug, Default, Clone)]
 pub struct Base64Decoder {
-    /// Accumulated 6-bit values of the current quad.
-    quad: [u32; 4],
+    /// Digit values of the current quad.
+    quad: [u8; 4],
     quad_len: u8,
     /// Padding characters seen in the current quad (must be trailing).
     pad: u8,
@@ -166,7 +229,7 @@ impl Base64Decoder {
         }
         let mut n = 0u32;
         for &d in self.quad.get(..digits)? {
-            n = (n << 6) | d;
+            n = (n << 6) | u32::from(d);
         }
         n <<= 6 * pad as u32;
         out.push((n >> 16) as u8);
@@ -184,37 +247,56 @@ impl Base64Decoder {
         Some(())
     }
 
+    /// Feed one byte through the state machine.
+    fn step(&mut self, c: u8, out: &mut Vec<u8>) -> Option<()> {
+        if c.is_ascii_whitespace() {
+            return Some(());
+        }
+        if self.finished {
+            return None; // data after a padded final quad
+        }
+        if c == b'=' {
+            if self.quad_len < 2 {
+                return None; // a quad carries at most 2 pads
+            }
+            self.pad += 1;
+        } else {
+            if self.pad > 0 {
+                return None; // digit after padding within a quad
+            }
+            let d = value(c);
+            if d & NOT_DIGIT != 0 {
+                return None;
+            }
+            if let Some(slot) = self.quad.get_mut(usize::from(self.quad_len)) {
+                *slot = d;
+            }
+            self.quad_len += 1;
+        }
+        if usize::from(self.quad_len) + usize::from(self.pad) == 4 {
+            self.flush_quad(out)?;
+        }
+        Some(())
+    }
+
     /// Decode `text`, appending bytes to `out`. Returns `None` (leaving
     /// the decoder poisoned for this stream) on malformed input.
     pub fn update(&mut self, text: &str, out: &mut Vec<u8>) -> Option<()> {
-        out.reserve(text.len() / 4 * 3);
-        for c in text.bytes() {
-            if c.is_ascii_whitespace() {
-                continue;
+        let mut rest = text.as_bytes();
+        out.reserve(rest.len() / 4 * 3);
+        loop {
+            // At a quad boundary the kernel takes every whole clean quad.
+            if self.quad_len == 0 && !self.finished {
+                let (quads, _) = rest.as_chunks::<4>();
+                let decoded = decode_quads(quads, out);
+                rest = rest.get(decoded * 4..).unwrap_or_default();
             }
-            if self.finished {
-                return None; // data after a padded final quad
-            }
-            if c == b'=' {
-                if self.quad_len < 2 {
-                    return None; // a quad carries at most 2 pads
-                }
-                self.pad += 1;
-            } else {
-                if self.pad > 0 {
-                    return None; // digit after padding within a quad
-                }
-                let d = value_of(c)?;
-                if let Some(slot) = self.quad.get_mut(usize::from(self.quad_len)) {
-                    *slot = d;
-                }
-                self.quad_len += 1;
-            }
-            if usize::from(self.quad_len) + usize::from(self.pad) == 4 {
-                self.flush_quad(out)?;
-            }
+            let Some((&c, tail)) = rest.split_first() else {
+                return Some(());
+            };
+            rest = tail;
+            self.step(c, out)?;
         }
-        Some(())
     }
 
     /// Declare end of input: fails if a quad is left incomplete. The
@@ -227,32 +309,13 @@ impl Base64Decoder {
 }
 
 /// Decode base64 text (whitespace tolerated) to bytes. Returns `None` on
-/// malformed input.
+/// malformed input, including anything but whitespace after a padded
+/// quad (RFC 4648 §3.3).
 pub fn decode(text: &str) -> Option<Vec<u8>> {
-    let compact: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
-    if !compact.len().is_multiple_of(4) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(compact.len() / 4 * 3);
-    for chunk in compact.chunks(4) {
-        let pad = chunk.iter().rev().take_while(|&&c| c == b'=').count();
-        let digits = chunk.get(..4 - pad)?;
-        if pad > 2 || digits.contains(&b'=') {
-            return None;
-        }
-        let mut n = 0u32;
-        for &c in digits {
-            n = (n << 6) | value_of(c)?;
-        }
-        n <<= 6 * pad as u32;
-        out.push((n >> 16) as u8);
-        if pad < 2 {
-            out.push((n >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(n as u8);
-        }
-    }
+    let mut out = Vec::with_capacity(text.len() / 4 * 3);
+    let mut dec = Base64Decoder::new();
+    dec.update(text, &mut out)?;
+    dec.finish()?;
     Some(out)
 }
 
@@ -289,6 +352,45 @@ mod tests {
         assert!(decode("Zm!v").is_none()); // bad char
         assert!(decode("Z===").is_none()); // over-padded
         assert!(decode("Z=m9").is_none()); // interior padding
+        assert!(decode("Zg==Zg==").is_none()); // data after the final quad
+        assert!(decode("Zg==\nZg==").is_none()); // ... even after whitespace
+        assert_eq!(decode("Zg==\n").unwrap(), b"f"); // whitespace after it is fine
+    }
+
+    #[test]
+    fn decode_table_inverts_the_alphabet() {
+        for c in 0..=255u8 {
+            let expect = ALPHABET.iter().position(|&a| a == c);
+            let got = (value(c) & NOT_DIGIT == 0).then_some(usize::from(value(c)));
+            assert_eq!(got, expect, "byte {c:#04x}");
+        }
+    }
+
+    #[test]
+    fn every_length_round_trips_split_at_every_offset() {
+        let data: Vec<u8> = (0..48u32).map(|i| (i * 97 + 13) as u8).collect();
+        for len in 0..=data.len() {
+            let data = &data[..len];
+            let text = encode(data);
+            assert_eq!(text.len(), len.div_ceil(3) * 4);
+            assert_eq!(decode(&text).unwrap(), data, "len {len}");
+            for split in 0..=len {
+                let mut enc = Base64Encoder::new();
+                let mut out = String::new();
+                enc.update(&data[..split], &mut out);
+                enc.update(&data[split..], &mut out);
+                enc.finish(&mut out);
+                assert_eq!(out, text, "len {len}, encode split at {split}");
+            }
+            for split in 0..=text.len() {
+                let mut dec = Base64Decoder::new();
+                let mut out = Vec::new();
+                dec.update(&text[..split], &mut out).unwrap();
+                dec.update(&text[split..], &mut out).unwrap();
+                dec.finish().unwrap();
+                assert_eq!(out, data, "len {len}, decode split at {split}");
+            }
+        }
     }
 
     #[test]

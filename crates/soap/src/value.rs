@@ -8,6 +8,8 @@
 //! priori knowledge — the property the batch-script interop test (E10)
 //! exercises.
 
+use std::borrow::Cow;
+
 use portalws_xml::Element;
 
 use crate::base64;
@@ -245,7 +247,7 @@ impl SoapValue {
                 "false" | "0" => Ok(SoapValue::Bool(false)),
                 other => Err(format!("bad boolean value {other:?}")),
             },
-            SoapType::Base64 => base64::decode(&el.text())
+            SoapType::Base64 => base64::decode(&text_of(el))
                 .map(SoapValue::Base64)
                 .ok_or_else(|| "bad base64 payload".to_string()),
             SoapType::Array => {
@@ -271,6 +273,17 @@ impl SoapValue {
             SoapType::Void => Ok(SoapValue::Null),
         }
     }
+}
+
+/// An element's text: borrowed where it lies when it is a single text
+/// node (a base64 payload is), concatenated from its text nodes otherwise.
+fn text_of(el: &Element) -> Cow<'_, str> {
+    if let [node] = el.nodes() {
+        if let Some(text) = node.as_text() {
+            return Cow::Borrowed(text);
+        }
+    }
+    Cow::Owned(el.text())
 }
 
 /// Render a double the way 2002 toolchains did: plain decimal, no exponent
