@@ -31,6 +31,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use portalws_bench::measure::{self, median};
 use portalws_bench::{jobs_request, representative_envelope};
 use portalws_soap::{
     CallContext, Envelope, Fault, MethodDesc, SoapClient, SoapResult, SoapServer, SoapService,
@@ -71,19 +72,6 @@ impl SoapService for EchoService {
             "Echo the argument",
         )]
     }
-}
-
-/// Median wall time of `f` over `n` runs, in microseconds.
-fn median_us(n: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2].as_secs_f64() * 1e6
 }
 
 struct ThroughputRow {
@@ -193,38 +181,15 @@ fn idle_mix(idle: usize, active: usize, per_client: usize) -> IdleMixRow {
     row
 }
 
-/// Pull the number after `"key":` out of a flat JSON document. Enough for
-/// the baseline file this binary writes itself.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = doc.get(at..)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail.get(..end)?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let baseline_path = flag_value("--baseline");
-    let assert_no_alloc = args.iter().any(|a| a == "--assert-no-alloc");
-
-    let (micro_iters, per_client) = if quick { (300, 100) } else { (3000, 1500) };
+    let args = measure::E11_SUBSTRATE.from_env();
+    let (micro_iters, per_client) = if args.quick { (300, 100) } else { (3000, 1500) };
 
     // --- Series 1: µs/envelope for the representative envelope ----------
     let env = representative_envelope();
     let xml = env.to_xml();
 
-    if assert_no_alloc {
+    if args.assert_no_alloc {
         // Dynamic cross-check of portalint's static hot-path-alloc gate:
         // the lint proves no allocation site is reachable from the
         // parse/serialize entry points (outside audited allows), so the
@@ -271,13 +236,17 @@ fn main() {
         );
         return;
     }
-    let parse_us = median_us(micro_iters, || {
+    let parse_us = median(micro_iters, || {
         let parsed = Envelope::parse(&xml).expect("parse");
         std::hint::black_box(parsed);
-    });
-    let serialize_us = median_us(micro_iters, || {
+    })
+    .as_secs_f64()
+        * 1e6;
+    let serialize_us = median(micro_iters, || {
         std::hint::black_box(env.to_xml());
-    });
+    })
+    .as_secs_f64()
+        * 1e6;
 
     println!("E11 — substrate throughput (envelope: {} bytes)", xml.len());
     println!("  parse:     {parse_us:>8.2} µs/envelope");
@@ -308,7 +277,7 @@ fn main() {
     // --- Series 3: req/s vs idle keep-alive connections (reactor only) ---
     // The blocking arm cannot run this axis: its workers would pin on the
     // idle herd and the active clients would never be served.
-    let idle_counts: &[usize] = if quick { &[100] } else { &[100, 1000] };
+    let idle_counts: &[usize] = if args.quick { &[100] } else { &[100, 1000] };
     println!("\n  idle-conns   active   req/s   conn-high-water   (1 reactor worker)");
     let mut idle_rows = Vec::new();
     for &idle in idle_counts {
@@ -321,7 +290,7 @@ fn main() {
     }
 
     // --- JSON artifact ----------------------------------------------------
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         let mut doc = String::new();
         doc.push_str("{\n");
         doc.push_str(&format!("  \"envelope_bytes\": {},\n", xml.len()));
@@ -359,9 +328,8 @@ fn main() {
     }
 
     // --- Baseline gate ----------------------------------------------------
-    if let Some(path) = baseline_path {
-        let doc = std::fs::read_to_string(&path).expect("read baseline");
-        let base_parse = json_number(&doc, "parse_us").expect("baseline parse_us");
+    if let Some(baseline) = &args.baseline {
+        let base_parse = baseline.number("parse_us");
         println!("baseline parse: {base_parse:.2} µs/envelope, current: {parse_us:.2} µs/envelope");
         if parse_us > 2.0 * base_parse {
             eprintln!(

@@ -41,6 +41,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
+use portalws_bench::measure;
 use portalws_core::{
     ChaosPolicy, DeploymentSpec, PortalShell, SecurityMode, ServerArm, TransferClient,
     TransferConfig, TransportMode, UiServer,
@@ -773,24 +774,18 @@ fn run_move_schedule(seed: u64, arm: ServerArm) -> MoveOutcome {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let base_seed: u64 = flag_value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xE12_5EED);
+    let args = measure::E12_CHAOS.from_env();
+    let base_seed = args.seed.unwrap_or(0xE12_5EED);
 
     // ≥50 distinct schedules even in quick mode; the full soak widens the
     // sweep. TCP schedules (server-side chaos included) alternate between
     // the blocking worker pool and the epoll reactor so both server arms
     // soak under identical fault classes — even in quick mode.
-    let (in_memory_schedules, tcp_schedules) = if quick { (50u64, 2u64) } else { (120u64, 6u64) };
+    let (in_memory_schedules, tcp_schedules) = if args.quick {
+        (50u64, 2u64)
+    } else {
+        (120u64, 6u64)
+    };
 
     println!(
         "E12 — chaos soak: {} in-memory + {} tcp-pooled schedules (both server arms), base seed {base_seed:#x}",
@@ -866,7 +861,7 @@ fn main() {
     // Tight admission bounds force sheds while faults land around them;
     // both arms soak. Family gates: the servers really shed, and typed
     // sheds reached clients whole (a torn shed cannot parse to one).
-    let shed_schedules = if quick { 2u64 } else { 4u64 };
+    let shed_schedules = if args.quick { 2u64 } else { 4u64 };
     let mut shed_total = ShedOutcome::default();
     for i in 0..shed_schedules {
         let seed = base_seed.wrapping_add(0x20_0000 + i);
@@ -917,7 +912,7 @@ fn main() {
     // point while wire chaos faults the SOAP call; journal recovery must
     // restore exactly one visible copy. Family gates: coordinator faults
     // actually fired, recovery actually ran, and zero invariant breaks.
-    let move_schedules = if quick { 2u64 } else { 4u64 };
+    let move_schedules = if args.quick { 2u64 } else { 4u64 };
     let mut move_total = MoveOutcome::default();
     for i in 0..move_schedules {
         let seed = base_seed.wrapping_add(0x30_0000 + i);
@@ -1013,7 +1008,7 @@ fn main() {
         move_total.recovered_back
     );
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         let mut doc = String::new();
         doc.push_str("{\n");
         doc.push_str(&format!("  \"schedules\": {schedules},\n"));

@@ -13,11 +13,13 @@
 //!    `commit`, `open_get`/`get_chunk`), pipelined by [`TransferClient`]
 //!    with a bounded in-flight window, swept over chunk size × window.
 //!
-//! For each run we record MiB/s per direction and the peak per-transfer
-//! buffering: the materialized payload for the single-envelope arms
-//! (linear in file size), the client resident high-water plus the
-//! server reorder-buffer high-water for the chunked arm (bounded by
-//! window × chunk by construction). An arm whose envelope exceeds the
+//! For each row we record MiB/s per direction, each the median over
+//! repeated transfers (enough to move at least 16 MiB; one transfer of
+//! 16 MiB and above), and the peak per-transfer buffering over the row:
+//! the materialized payload for the single-envelope arms (linear in file
+//! size), the client resident high-water plus the server reorder-buffer
+//! high-water for the chunked arm (bounded by window × chunk by
+//! construction). An arm whose envelope exceeds the
 //! frame cap records 0 MiB/s — that is the measurement, not an error.
 //!
 //! ```sh
@@ -25,7 +27,7 @@
 //!     [--quick] [--json PATH]
 //! ```
 //!
-//! Exits nonzero if any chunked run's peak buffering exceeds
+//! Exits nonzero if any chunked row's peak buffering exceeds
 //! (window + 1) × chunk — the bounded-memory claim is the gate.
 //!
 //! A `codec` row records, from the same run, the speed of the base64
@@ -33,8 +35,8 @@
 //! the 1 MiB payload. It is recorded only, not gated.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use portalws_bench::measure::{self, median};
 use portalws_core::{TransferClient, TransferConfig};
 use portalws_gridsim::Srb;
 use portalws_services::DataManagementService;
@@ -81,24 +83,13 @@ const CODEC_PASSES: usize = 9;
 fn codec_mib_s(body: &[u8]) -> (f64, f64) {
     let mib = body.len() as f64 / MIB as f64;
     let text = base64::encode(body);
-    let median_rate = |pass: &dyn Fn()| {
-        let mut secs: Vec<f64> = (0..CODEC_PASSES)
-            .map(|_| {
-                let t0 = Instant::now();
-                pass();
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        secs.sort_by(f64::total_cmp);
-        mib / secs[CODEC_PASSES / 2]
-    };
-    let encode = median_rate(&|| {
+    let encode = median(CODEC_PASSES, || {
         std::hint::black_box(base64::encode(std::hint::black_box(body)));
     });
-    let decode = median_rate(&|| {
+    let decode = median(CODEC_PASSES, || {
         std::hint::black_box(base64::decode(std::hint::black_box(&text)));
     });
-    (encode, decode)
+    (mib / encode.as_secs_f64(), mib / decode.as_secs_f64())
 }
 
 struct Rig {
@@ -128,10 +119,11 @@ fn rig() -> Rig {
     }
 }
 
-/// Single-envelope arm: one `put`-flavored call up, one `get`-flavored
-/// call down. Returns MiB/s per direction; a frame-cap rejection (or
-/// any other failure) measures as 0.
-fn single_envelope(rig: &Rig, arm: &str, body: &[u8]) -> Row {
+/// Single-envelope arm: `put`-flavored calls up, `get`-flavored calls
+/// down, each direction timed as the median of `repeats` calls. Returns
+/// MiB/s per direction; a frame-cap rejection (or any other failure)
+/// measures as 0.
+fn single_envelope(rig: &Rig, arm: &str, body: &[u8], repeats: usize) -> Row {
     let size = body.len();
     let up_path = format!("/data/up-{arm}-{size}");
     let down_path = format!("/data/down-{arm}-{size}");
@@ -152,17 +144,21 @@ fn single_envelope(rig: &Rig, arm: &str, body: &[u8]) -> Row {
             vec![SoapValue::str(&up_path), SoapValue::Base64(body.to_vec())],
         ),
     };
-    let t0 = Instant::now();
-    let put_ok = rig.client.call(put_method, &put_args).is_ok();
-    let put_s = t0.elapsed().as_secs_f64();
+    let mut put_ok = true;
+    let put_s = median(repeats, || {
+        put_ok &= rig.client.call(put_method, &put_args).is_ok();
+    })
+    .as_secs_f64();
 
     let get_method = if arm == "string" { "get" } else { "getB64" };
-    let t0 = Instant::now();
-    let get_ok = rig
-        .client
-        .call(get_method, &[SoapValue::str(&down_path)])
-        .is_ok();
-    let get_s = t0.elapsed().as_secs_f64();
+    let mut get_ok = true;
+    let get_s = median(repeats, || {
+        get_ok &= rig
+            .client
+            .call(get_method, &[SoapValue::str(&down_path)])
+            .is_ok();
+    })
+    .as_secs_f64();
 
     let mib = size as f64 / MIB as f64;
     Row {
@@ -179,11 +175,12 @@ fn single_envelope(rig: &Rig, arm: &str, body: &[u8]) -> Row {
     }
 }
 
-/// Chunked arm: a pipelined put then a pipelined get through the
-/// transfer protocol. Peak buffering is measured, not assumed: client
-/// resident high-water from the [`TransferClient`] report, server
-/// reorder-buffer high-water from the transfer table.
-fn chunked(rig: &Rig, body: &[u8], chunk: usize, window: usize) -> Row {
+/// Chunked arm: pipelined puts then pipelined gets through the transfer
+/// protocol, each direction timed as the median of `repeats` transfers.
+/// Peak buffering is measured, not assumed, over all of the row's
+/// transfers: client resident high-water from the [`TransferClient`]
+/// reports, server reorder-buffer high-water from the transfer table.
+fn chunked(rig: &Rig, body: &[u8], chunk: usize, window: usize, repeats: usize) -> Row {
     let size = body.len();
     let path = format!("/data/chunked-{size}-{chunk}-{window}");
     let cfg = TransferConfig {
@@ -193,19 +190,22 @@ fn chunked(rig: &Rig, body: &[u8], chunk: usize, window: usize) -> Row {
     };
     let tc = TransferClient::with_config(&rig.client, cfg);
 
-    let t0 = Instant::now();
-    let put_report = tc.put(&path, body).expect("chunked put");
-    let put_s = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let (back, get_report) = tc.get(&path).expect("chunked get");
-    let get_s = t0.elapsed().as_secs_f64();
-    assert_eq!(back, body, "chunked round trip must be lossless");
+    let (mut client_high, mut put_chunks, mut get_chunks) = (0, 0, 0);
+    let put_s = median(repeats, || {
+        let report = tc.put(&path, body).expect("chunked put");
+        client_high = client_high.max(report.buffer_high_water);
+        put_chunks = report.chunks;
+    })
+    .as_secs_f64();
+    let get_s = median(repeats, || {
+        let (back, report) = tc.get(&path).expect("chunked get");
+        assert_eq!(back, body, "chunked round trip must be lossless");
+        client_high = client_high.max(report.buffer_high_water);
+        get_chunks = report.chunks;
+    })
+    .as_secs_f64();
 
     let server_high = rig.data.transfers().buffered_high_water();
-    let client_high = put_report
-        .buffer_high_water
-        .max(get_report.buffer_high_water);
     let mib = size as f64 / MIB as f64;
     Row {
         arm: "chunked".into(),
@@ -215,28 +215,28 @@ fn chunked(rig: &Rig, body: &[u8], chunk: usize, window: usize) -> Row {
         put_mib_s: mib / put_s,
         get_mib_s: mib / get_s,
         peak_buffer: client_high.max(server_high),
-        chunks: put_report.chunks + get_report.chunks,
+        chunks: put_chunks + get_chunks,
     }
 }
 
+/// Transfers timed per row: enough to move at least 16 MiB, so rows of
+/// small files are not single-sample noise; one at 16 MiB and above.
+fn repeats(size: usize) -> usize {
+    (16 * MIB).div_ceil(size).max(1)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = measure::E13_TRANSFER.from_env();
 
     // 64 MiB is always in the sweep: it is the point past the wire frame
     // cap where the single-envelope arms stop working at all, which is
     // the headline comparison.
-    let sizes: &[usize] = if quick {
+    let sizes: &[usize] = if args.quick {
         &[MIB, 64 * MIB]
     } else {
         &[MIB, 4 * MIB, 16 * MIB, 64 * MIB]
     };
-    let chunks: &[usize] = if quick {
+    let chunks: &[usize] = if args.quick {
         &[256 * 1024]
     } else {
         &[256 * 1024, MIB]
@@ -271,17 +271,17 @@ fn main() {
         let body = payload(size);
         let r = rig();
         for arm in ["string", "base64"] {
-            let row = single_envelope(&r, arm, &body);
+            let row = single_envelope(&r, arm, &body, repeats(size));
             print_row(&row);
             rows.push(row);
         }
         r.server.shutdown();
         for &chunk in chunks {
             for &window in windows {
-                // A fresh rig per run so the server-side buffering
-                // high-water is attributable to this one transfer.
+                // A fresh rig per row so the server-side buffering
+                // high-water is attributable to this row's transfers.
                 let r = rig();
-                let row = chunked(&r, &body, chunk, window);
+                let row = chunked(&r, &body, chunk, window, repeats(size));
                 print_row(&row);
                 rows.push(row);
                 r.server.shutdown();
@@ -337,7 +337,7 @@ fn main() {
         ));
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut doc = String::new();
         doc.push_str("{\n  \"rows\": [\n");
         for (i, row) in rows.iter().enumerate() {
@@ -358,7 +358,7 @@ fn main() {
             "  ],\n  \"codec\": {{\"size\": {}, \"encode_mib_s\": {encode_mib_s:.2}, \"decode_mib_s\": {decode_mib_s:.2}}}\n}}\n",
             codec_body.len()
         ));
-        std::fs::write(&path, doc).expect("write json");
+        std::fs::write(path, doc).expect("write json");
         println!("\nwrote {path}");
     }
 

@@ -33,6 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use portalws_auth::{AuthService, UserSession};
+use portalws_bench::measure;
 use portalws_core::{PortalDeployment, SecurityMode, UiServer};
 use portalws_gridsim::clock::SimClock;
 use portalws_gridsim::cred::Mechanism;
@@ -169,31 +170,10 @@ fn mixed_flow(cached: bool, rounds: usize) -> FlowRow {
     }
 }
 
-/// Pull the number after `"key":` out of a flat JSON document (the
-/// baseline file this binary writes itself).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = doc.get(at..)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail.get(..end)?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let baseline_path = flag_value("--baseline");
+    let args = measure::E14_CACHE.from_env();
 
-    let (read_iters, verify_iters, rounds) = if quick {
+    let (read_iters, verify_iters, rounds) = if args.quick {
         (200, 2_000, 20)
     } else {
         (1_000, 20_000, 60)
@@ -264,7 +244,7 @@ fn main() {
     }
 
     // --- JSON artifact ----------------------------------------------------
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut doc = String::new();
         doc.push_str("{\n");
         doc.push_str(&format!(
@@ -291,15 +271,14 @@ fn main() {
             flow_on.auth_verify_cached
         ));
         doc.push_str("}\n");
-        std::fs::write(&path, doc).expect("write json");
+        std::fs::write(path, doc).expect("write json");
         println!("\nwrote {path}");
     }
 
     // --- Baseline gate ----------------------------------------------------
-    if let Some(path) = baseline_path {
-        let doc = std::fs::read_to_string(&path).expect("read baseline");
-        let base_read = json_number(&doc, "cached_read_us").expect("baseline cached_read_us");
-        let min_hit_rate = json_number(&doc, "min_hit_rate").unwrap_or(0.8);
+    if let Some(baseline) = &args.baseline {
+        let base_read = baseline.number("cached_read_us");
+        let min_hit_rate = baseline.number("min_hit_rate");
         let cached_read = disc_on.find_us.max(disc_on.bind_us);
         println!(
             "\nbaseline cached read: {base_read:.1} µs/op, current: {cached_read:.1} µs/op; hit rate {:.3} (min {min_hit_rate:.2})",

@@ -39,6 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
+use portalws_bench::measure::{self, percentile};
 use portalws_core::{DeploymentSpec, PortalDeployment, SecurityMode, ServerArm, TransportMode};
 use portalws_gridsim::cred::Mechanism;
 use portalws_soap::{PortalErrorKind, SoapClient, SoapError, SoapValue};
@@ -288,14 +289,6 @@ impl Run {
     }
 }
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let ix = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[ix]
-}
-
 /// Stand up a fresh deployment on `arm` and drive `rate` sessions/sec at
 /// it for `dur_s`, open-loop.
 fn run_load(
@@ -447,31 +440,10 @@ fn drive_arm(arm: ServerArm, rates: &[f64], dur_s: f64, tenants: usize, seed: u6
     }
 }
 
-/// Pull the number after `"key":` out of a flat JSON document (the
-/// baseline file this binary writes itself).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = doc.get(at..)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail.get(..end)?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let baseline_path = flag_value("--baseline");
+    let args = measure::E15_LOAD.from_env();
 
-    let (rates, dur_s, tenants): (&[f64], f64, usize) = if quick {
+    let (rates, dur_s, tenants): (&[f64], f64, usize) = if args.quick {
         (&[40.0, 80.0, 160.0], 1.0, 4)
     } else {
         (&[50.0, 100.0, 200.0, 400.0], 3.0, 6)
@@ -492,11 +464,10 @@ fn main() {
     let reactor = drive_arm(ServerArm::Reactor, rates, dur_s, tenants, seed);
 
     // --- Gates: shed, don't collapse -------------------------------------
-    let p99_max_ms = baseline_path
-        .as_deref()
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .and_then(|doc| json_number(&doc, "p99_max_ms"))
-        .unwrap_or(250.0);
+    let p99_max_ms = args
+        .baseline
+        .as_ref()
+        .map_or(250.0, |b| b.number("p99_max_ms"));
     let mut failures = Vec::new();
     for (name, report) in [("blocking", &blocking), ("reactor", &reactor)] {
         let run = &report.overload;
@@ -528,7 +499,7 @@ fn main() {
     }
 
     // --- JSON artifact ----------------------------------------------------
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut doc = String::new();
         doc.push_str("{\n");
         for (name, report) in [("blocking", &blocking), ("reactor", &reactor)] {
@@ -548,7 +519,7 @@ fn main() {
         }
         doc.push_str(&format!("  \"p99_max_ms\": {p99_max_ms:.1}\n"));
         doc.push_str("}\n");
-        std::fs::write(&path, doc).expect("write json");
+        std::fs::write(path, doc).expect("write json");
         println!("\nwrote {path}");
     }
 

@@ -35,6 +35,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
+use portalws_bench::measure::{self, percentile};
 use portalws_gridsim::srb::Srb;
 use portalws_services::shard::DEFAULT_VNODES;
 use portalws_services::{DataManagementService, ShardMap, ShardedDataService};
@@ -177,38 +178,10 @@ fn shard_arm(shards: usize, ops_per_worker: usize) -> f64 {
     (WORKERS * ops_per_worker) as f64 / t0.elapsed().as_secs_f64()
 }
 
-fn p99(lat: &mut [f64]) -> f64 {
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let idx = ((lat.len() as f64) * 0.99) as usize;
-    lat.get(idx.min(lat.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0.0)
-}
-
-/// Pull the number after `"key":` out of a flat JSON document.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = doc.get(at..)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail.get(..end)?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let baseline_path = flag_value("--baseline");
+    let args = measure::E16_SHARD.from_env();
 
-    let ops_per_worker = if quick { 200 } else { 800 };
+    let ops_per_worker = if args.quick { 200 } else { 800 };
 
     println!("E16 — state-plane sharding: lock striping + the consistent-hash shard router");
 
@@ -222,7 +195,8 @@ fn main() {
     let mut p99_sharded = 0.0;
     for stripes in [1usize, 4, 8] {
         let (rps, mut lat) = stripe_arm(stripes, ops_per_worker);
-        let p = p99(&mut lat);
+        lat.sort_by(f64::total_cmp);
+        let p = percentile(&lat, 0.99);
         if stripes == 1 {
             p99_unsharded = p;
         }
@@ -288,7 +262,7 @@ fn main() {
     }
 
     // --- JSON artifact ----------------------------------------------------
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut doc = String::new();
         doc.push_str("{\n");
         doc.push_str(&format!(
@@ -309,15 +283,14 @@ fn main() {
         ));
         doc.push_str("  \"min_scaling\": 1.8,\n  \"max_balance\": 1.25\n");
         doc.push_str("}\n");
-        std::fs::write(&path, doc).expect("write json");
+        std::fs::write(path, doc).expect("write json");
         println!("\nwrote {path}");
     }
 
     // --- Baseline gate ----------------------------------------------------
-    if let Some(path) = baseline_path {
-        let doc = std::fs::read_to_string(&path).expect("read baseline");
-        let min_scaling = json_number(&doc, "min_scaling").unwrap_or(1.8);
-        let max_balance = json_number(&doc, "max_balance").unwrap_or(1.25);
+    if let Some(baseline) = &args.baseline {
+        let min_scaling = baseline.number("min_scaling");
+        let max_balance = baseline.number("max_balance");
         println!(
             "\nbaseline: scaling ≥{min_scaling:.2}x, balance ≤{max_balance:.2}; \
              current {stripe_scaling:.2}x / {balance:.3}"

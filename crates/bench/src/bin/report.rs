@@ -1,19 +1,20 @@
 //! The experiment report: regenerates every figure- and claim-series in
-//! EXPERIMENTS.md, printing paper-shaped rows (latencies, bytes on the
-//! wire, connection counts, precision/recall, simulated makespans,
-//! interface sizes).
+//! EXPERIMENTS.md, printing paper-shaped rows (latencies, throughput,
+//! bytes on the wire, connection counts, precision/recall, simulated
+//! makespans, interface sizes).
 //!
 //! ```sh
-//! cargo run -p portalws-bench --release --bin report
+//! cargo run -p portalws-bench --release --bin report [-- --quick]
 //! ```
 //!
-//! Timing here is a simple median over repeated runs — Criterion (in
-//! `benches/`) owns the statistically careful numbers; this binary owns
-//! the *shape* of each result table.
+//! Every timing is the median over repeated runs of the row's workload.
+//! `--quick` runs every row once: the smoke mode `cargo test` uses to
+//! check that each series still runs.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use portalws_bench::measure::{self, median};
 use portalws_bench::{
     discovery_population, jobs_request, payload, synthetic_form, synthetic_schema,
 };
@@ -28,17 +29,21 @@ use portalws_wire::{Handler, InMemoryTransport, Transport};
 use portalws_wizard::{BeanRegistry, SchemaWizard, Som};
 use portalws_xml::Element;
 
-/// Median wall time of `f` over `n` runs.
-fn median(n: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
+/// How many runs each row's median takes: the row's full count, or one
+/// under `--quick`.
+#[derive(Clone, Copy)]
+struct Runs {
+    quick: bool,
+}
+
+impl Runs {
+    fn n(self, full: usize) -> usize {
+        if self.quick {
+            1
+        } else {
+            full
+        }
+    }
 }
 
 fn us(d: Duration) -> String {
@@ -56,30 +61,33 @@ fn heading(s: &str) {
 }
 
 fn main() {
+    let r = Runs {
+        quick: measure::REPORT.from_env().quick,
+    };
     heading("E1 (Fig. 1) — basic Web-Services interactions");
-    e1();
+    e1(r);
     heading("E2 (Fig. 2) — assertion-based single sign-on");
-    e2();
+    e2(r);
     heading("E3 (Fig. 3) — schema wizard");
-    e3();
+    e3(r);
     heading("E4 (Fig. 4) — integrated portal");
-    e4();
+    e4(r);
     heading("E5 — SRB string-streamed transfer ('does not scale well')");
-    e5();
+    e5(r);
     heading("E6 — xml_call batching ('a single connection')");
-    e6();
+    e6(r);
     heading("E7 — UDDI string search vs typed container registry");
-    e7();
+    e7(r);
     heading("E8 — context-manager coupling overhead");
-    e8();
+    e8(r);
     heading("E9 — sequential multi-job execution");
-    e9();
+    e9(r);
     heading("E10 — batch-script interoperability matrix");
-    e10();
+    e10(r);
     println!();
 }
 
-fn e1() {
+fn e1(r: Runs) {
     for (label, deployment) in [
         ("in-memory", PortalDeployment::in_memory(SecurityMode::Open)),
         ("over TCP", PortalDeployment::over_tcp(SecurityMode::Open)),
@@ -91,16 +99,16 @@ fn e1() {
         let ui = UiServer::new(Arc::clone(&deployment));
         let hit = ui.find_services("JobSubmission").unwrap().remove(0);
         let client = ui.bind(&hit).unwrap();
-        let find = median(200, || {
+        let find = median(r.n(200), || {
             ui.find_services("JobSubmission").unwrap();
         });
-        let bind = median(200, || {
+        let bind = median(r.n(200), || {
             ui.bind(&hit).unwrap();
         });
-        let invoke = median(200, || {
+        let invoke = median(r.n(200), || {
             client.call("listHosts", &[]).unwrap();
         });
-        let full = median(100, || {
+        let full = median(r.n(100), || {
             let c = ui.discover_and_bind("JobSubmission").unwrap();
             c.call("listHosts", &[]).unwrap();
         });
@@ -126,20 +134,17 @@ fn e1() {
     let framed: Arc<dyn Transport> = Arc::new(InMemoryTransport::new(make_server()));
     let tcp_server = portalws_wire::HttpServer::start(make_server(), 4).unwrap();
     let tcp: Arc<dyn Transport> = Arc::new(portalws_wire::HttpTransport::new(tcp_server.addr()));
-    let tcp_ka: Arc<dyn Transport> =
-        Arc::new(portalws_wire::HttpTransport::keep_alive(tcp_server.addr()));
     let tcp_pooled: Arc<dyn Transport> =
         Arc::new(portalws_wire::PooledTransport::new(tcp_server.addr()));
     for (label, transport) in [
         ("direct (three-tier)", direct),
         ("SOAP, in-memory", framed),
         ("SOAP, TCP per-call conn", tcp),
-        ("SOAP, TCP keep-alive", tcp_ka),
         ("SOAP, TCP pooled", tcp_pooled),
     ] {
         let client = SoapClient::new(Arc::clone(&transport), "JobSubmission");
         let before = transport.stats().snapshot();
-        let t = median(200, || {
+        let t = median(r.n(200), || {
             client.call("listHosts", &[]).unwrap();
         });
         let delta = transport.stats().snapshot().since(&before);
@@ -158,9 +163,38 @@ fn e1() {
         }
     }
     tcp_server.shutdown();
+
+    // Throughput under concurrent clients, each on its own transport to
+    // the grid host (a new connection per call, the 2002 regime).
+    const CALLS_PER_CLIENT: usize = 20;
+    let deployment = PortalDeployment::over_tcp(SecurityMode::Open);
+    println!("\n  throughput vs concurrent clients (over TCP, {CALLS_PER_CLIENT} listHosts each):");
+    println!("    {:<10} {:>12} {:>12}", "clients", "wall", "calls/s");
+    for clients in [1usize, 4, 8, 16] {
+        let t = median(r.n(10), || {
+            std::thread::scope(|scope| {
+                for _ in 0..clients {
+                    let transport = deployment.transport("grid.sdsc.edu").unwrap();
+                    scope.spawn(move || {
+                        let c = SoapClient::new(transport, "JobSubmission");
+                        for _ in 0..CALLS_PER_CLIENT {
+                            c.call("listHosts", &[]).unwrap();
+                        }
+                    });
+                }
+            })
+        });
+        let calls = (clients * CALLS_PER_CLIENT) as f64;
+        println!(
+            "    {:<10} {:>12} {:>12.0}",
+            clients,
+            ms(t),
+            calls / t.as_secs_f64()
+        );
+    }
 }
 
-fn e2() {
+fn e2(r: Runs) {
     println!(
         "\n  {:<26} {:>12} {:>12} {:>16}",
         "security mode", "mem median", "tcp median", "auth-verify/call"
@@ -175,16 +209,16 @@ fn e2() {
         ui.login("alice@GCE.ORG", "alice-pass").unwrap();
         let client = ui.proxy("grid.sdsc.edu", "JobSubmission").unwrap();
         let v0 = mem.auth.verification_count();
-        let t_mem = median(200, || {
+        let t_mem = median(r.n(200), || {
             client.call("listHosts", &[]).unwrap();
         });
-        let verifies = (mem.auth.verification_count() - v0) as f64 / 200.0;
+        let verifies = (mem.auth.verification_count() - v0) as f64 / r.n(200) as f64;
 
         let tcp = PortalDeployment::over_tcp(mode);
         let ui = UiServer::new(Arc::clone(&tcp));
         ui.login("alice@GCE.ORG", "alice-pass").unwrap();
         let client = ui.proxy("grid.sdsc.edu", "JobSubmission").unwrap();
-        let t_tcp = median(100, || {
+        let t_tcp = median(r.n(100), || {
             client.call("listHosts", &[]).unwrap();
         });
         println!(
@@ -206,11 +240,11 @@ fn e2() {
         )
         .unwrap();
     let session = portalws_auth::UserSession::new(gss, Arc::clone(&deployment.clock));
-    let mint = median(500, || {
+    let mint = median(r.n(500), || {
         session.make_assertion();
     });
     let a = session.make_assertion();
-    let verify = median(500, || {
+    let verify = median(r.n(500), || {
         deployment.auth.verify_assertion(&a).unwrap();
     });
     println!(
@@ -218,9 +252,38 @@ fn e2() {
         us(mint),
         us(verify)
     );
+
+    // Scaling of the central verifier: each user logs in on its own UI
+    // server and makes 10 guarded calls, all users at once.
+    let deployment = PortalDeployment::in_memory(SecurityMode::Central);
+    println!("\n  concurrent central-verified users (in-memory, login + 10 listHosts each):");
+    println!("    {:<8} {:>12} {:>12}", "users", "wall", "calls/s");
+    for users in [1usize, 4, 8] {
+        let t = median(r.n(10), || {
+            std::thread::scope(|scope| {
+                for _ in 0..users {
+                    let deployment = Arc::clone(&deployment);
+                    scope.spawn(move || {
+                        let ui = UiServer::new(deployment);
+                        ui.login("alice@GCE.ORG", "alice-pass").unwrap();
+                        let client = ui.proxy("grid.sdsc.edu", "JobSubmission").unwrap();
+                        for _ in 0..10 {
+                            client.call("listHosts", &[]).unwrap();
+                        }
+                    });
+                }
+            })
+        });
+        println!(
+            "    {:<8} {:>12} {:>12.0}",
+            users,
+            ms(t),
+            (users * 10) as f64 / t.as_secs_f64()
+        );
+    }
 }
 
-fn e3() {
+fn e3(r: Runs) {
     println!(
         "\n  {:<8} {:>8} {:>13} {:>12} {:>12} {:>14}",
         "leaves", "classes", "constituents", "form bytes", "gen form", "form->inst"
@@ -232,10 +295,10 @@ fn e3() {
         let wizard = SchemaWizard::new(schema.clone());
         let page = wizard.generate_page("root", "/x", &[]).unwrap();
         let form = synthetic_form(&schema);
-        let t_gen = median(50, || {
+        let t_gen = median(r.n(50), || {
             wizard.generate_page("root", "/x", &[]).unwrap();
         });
-        let t_inst = median(50, || {
+        let t_inst = median(r.n(50), || {
             wizard.instance_from_form("root", &form).unwrap();
         });
         println!(
@@ -251,13 +314,58 @@ fn e3() {
 
     let schema = portalws_appws::descriptor::descriptor_schema();
     let wizard = SchemaWizard::new(schema);
-    let t = median(100, || {
+    let t = median(r.n(100), || {
         wizard.generate_page("application", "/x", &[]).unwrap();
     });
     println!("\n  real descriptor schema: form generation {}", us(t));
+
+    println!("\n  nesting-depth sweep (32 leaves, group size 2):");
+    println!(
+        "    {:<8} {:>13} {:>12}",
+        "depth", "constituents", "gen form"
+    );
+    for depth in 1..=4usize {
+        let schema = synthetic_schema(32, 2, depth);
+        let constituents = Som::new(&schema).walk("root").unwrap().len();
+        let wizard = SchemaWizard::new(schema);
+        let t = median(r.n(50), || {
+            wizard.generate_page("root", "/x", &[]).unwrap();
+        });
+        println!("    {:<8} {:>13} {:>12}", depth, constituents, us(t));
+    }
+
+    println!("\n  marshal round trip (group size 4, depth 2):");
+    println!(
+        "    {:<8} {:>12} {:>18} {:>12}",
+        "leaves", "unmarshal", "marshal+validate", "validate"
+    );
+    for leaves in [16usize, 64, 256] {
+        let schema = synthetic_schema(leaves, 4, 2);
+        let registry = BeanRegistry::generate(&schema, "root").unwrap();
+        let instance = SchemaWizard::new(schema.clone())
+            .instance_from_form("root", &synthetic_form(&schema))
+            .unwrap();
+        let bean = registry.unmarshal(&instance).unwrap();
+        let t_un = median(r.n(100), || {
+            registry.unmarshal(&instance).unwrap();
+        });
+        let t_marshal = median(r.n(100), || {
+            registry.marshal_validated(&bean).unwrap();
+        });
+        let t_validate = median(r.n(100), || {
+            schema.validate(&instance).unwrap();
+        });
+        println!(
+            "    {:<8} {:>12} {:>18} {:>12}",
+            leaves,
+            us(t_un),
+            us(t_marshal),
+            us(t_validate)
+        );
+    }
 }
 
-fn e4() {
+fn e4(r: Runs) {
     let deployment = PortalDeployment::in_memory(SecurityMode::Open);
     let ui = Arc::new(UiServer::new(deployment));
     let shell = PortalShell::new(ui);
@@ -274,7 +382,7 @@ fn e4() {
             "scriptgen iu PBS batch r 2 10 -- date | jobsub tg-login PBS",
         ),
     ] {
-        let t = median(50, || {
+        let t = median(r.n(50), || {
             shell.exec(line).unwrap();
         });
         println!("    {:<22} {:>12}", label, us(t));
@@ -314,14 +422,29 @@ fn e4() {
         }
         let portal = PortalPage::new(registry, "/portal");
         let page = portal.render("u", None);
-        let t = median(50, || {
+        let t = median(r.n(50), || {
             portal.render("u", None);
         });
         println!("    {:<10} {:>12} {:>12}", count, us(t), page.len());
     }
+
+    // A complete secured session on a fresh UI server each run.
+    let deployment = PortalDeployment::in_memory(SecurityMode::Central);
+    let t = median(r.n(20), || {
+        let shell = PortalShell::new(Arc::new(UiServer::new(Arc::clone(&deployment))));
+        shell.exec("login alice@GCE.ORG alice-pass").unwrap();
+        shell
+            .exec("scriptgen iu PBS batch s 2 10 -- date | jobsub tg-login PBS")
+            .unwrap();
+        shell.exec("logout").unwrap();
+    });
+    println!(
+        "\n  full secured session (central security; login -> scriptgen | jobsub -> logout): {}",
+        us(t)
+    );
 }
 
-fn e5() {
+fn e5(r: Runs) {
     let srb = Arc::new(portalws_gridsim::srb::Srb::new());
     srb.mkdir("/bench").unwrap();
     let server = SoapServer::new();
@@ -331,8 +454,16 @@ fn e5() {
     let data = SoapClient::new(Arc::clone(&transport), "DataManagement");
 
     println!(
-        "\n  {:<10} {:>14} {:>8} {:>14} {:>8} {:>12} {:>12}",
-        "payload", "string bytes", "amp", "base64 bytes", "amp", "put string", "put base64"
+        "\n  {:<10} {:>14} {:>8} {:>14} {:>8} {:>12} {:>12} {:>12} {:>12}",
+        "payload",
+        "string bytes",
+        "amp",
+        "base64 bytes",
+        "amp",
+        "put string",
+        "get string",
+        "put base64",
+        "get base64"
     );
     for kib in [1usize, 16, 64, 256, 1024] {
         let len = kib * 1024;
@@ -355,7 +486,7 @@ fn e5() {
         .unwrap();
         let b_bytes = transport.stats().snapshot().since(&before).bytes_sent;
         let iters = (64 / kib).clamp(3, 30);
-        let t_s = median(iters, || {
+        let t_s = median(r.n(iters), || {
             data.call(
                 "put",
                 &[SoapValue::str("/bench/s"), SoapValue::str(&content)],
@@ -363,7 +494,7 @@ fn e5() {
             .unwrap();
         });
         let bytes_payload = content.clone().into_bytes();
-        let t_b = median(iters, || {
+        let t_b = median(r.n(iters), || {
             data.call(
                 "putB64",
                 &[
@@ -373,15 +504,23 @@ fn e5() {
             )
             .unwrap();
         });
+        let t_gs = median(r.n(iters), || {
+            data.call("get", &[SoapValue::str("/bench/s")]).unwrap();
+        });
+        let t_gb = median(r.n(iters), || {
+            data.call("getB64", &[SoapValue::str("/bench/b")]).unwrap();
+        });
         println!(
-            "  {:<10} {:>14} {:>8.2} {:>14} {:>8.2} {:>12} {:>12}",
+            "  {:<10} {:>14} {:>8.2} {:>14} {:>8.2} {:>12} {:>12} {:>12} {:>12}",
             format!("{kib} KiB"),
             s_bytes,
             s_bytes as f64 / len as f64,
             b_bytes,
             b_bytes as f64 / len as f64,
             ms(t_s),
-            ms(t_b)
+            ms(t_gs),
+            ms(t_b),
+            ms(t_gb)
         );
     }
     println!(
@@ -424,7 +563,7 @@ fn e5() {
     }
 }
 
-fn e6() {
+fn e6(r: Runs) {
     let srb = Arc::new(portalws_gridsim::srb::Srb::new());
     srb.mkdir("/bench").unwrap();
     let server = SoapServer::new();
@@ -448,7 +587,7 @@ fn e6() {
         );
         for n in [1usize, 4, 16, 64] {
             let before = transport.stats().snapshot();
-            let t_sep = median(10, || {
+            let t_sep = median(r.n(10), || {
                 for i in 0..n {
                     data.call(
                         "put",
@@ -460,7 +599,8 @@ fn e6() {
                     .unwrap();
                 }
             });
-            let sep_conns = transport.stats().snapshot().since(&before).connections as f64 / 10.0;
+            let sep_conns =
+                transport.stats().snapshot().since(&before).connections as f64 / r.n(10) as f64;
 
             let mut request = Element::new("request");
             for i in 0..n {
@@ -471,11 +611,12 @@ fn e6() {
                 );
             }
             let before = transport.stats().snapshot();
-            let t_batch = median(10, || {
+            let t_batch = median(r.n(10), || {
                 data.call("xml_call", &[SoapValue::Xml(request.clone())])
                     .unwrap();
             });
-            let batch_conns = transport.stats().snapshot().since(&before).connections as f64 / 10.0;
+            let batch_conns =
+                transport.stats().snapshot().since(&before).connections as f64 / r.n(10) as f64;
             println!(
                 "  {:<6} {:>14.1} {:>12} {:>14.1} {:>12} {:>8.1}x",
                 n,
@@ -524,7 +665,7 @@ fn e6() {
     tcp_server.shutdown();
 }
 
-fn e7() {
+fn e7(r: Runs) {
     println!(
         "\n  {:<6} {:>10} {:>10} {:>11} {:>11} {:>12} {:>12}",
         "N", "true LSF", "uddi hits", "uddi prec", "typed prec", "uddi time", "typed time"
@@ -533,10 +674,10 @@ fn e7() {
         let (uddi, container, truly) = discovery_population(n);
         let uddi_hits = uddi.find_service("LSF").len();
         let typed_hits = container.query("schedulers/scheduler", "LSF").len();
-        let t_uddi = median(50, || {
+        let t_uddi = median(r.n(50), || {
             uddi.find_service("LSF");
         });
-        let t_typed = median(50, || {
+        let t_typed = median(r.n(50), || {
             container.query("schedulers/scheduler", "LSF");
         });
         println!(
@@ -555,7 +696,7 @@ fn e7() {
     );
 }
 
-fn e8() {
+fn e8(r: Runs) {
     let req = ScriptRequest {
         scheduler: SchedulerKind::Pbs,
         queue: "batch".into(),
@@ -599,7 +740,7 @@ fn e8() {
         }
         let contexts = store.total_count();
         let placeholders = store.placeholder_count();
-        let t = median(100, || {
+        let t = median(r.n(100), || {
             client.generate(&req).unwrap();
         });
         println!(
@@ -643,7 +784,7 @@ fn e8() {
     );
 }
 
-fn e9() {
+fn e9(r: Runs) {
     println!(
         "\n  {:<6} {:>22} {:>22} {:>9}",
         "jobs", "sequential makespan", "parallel makespan", "ratio"
@@ -674,9 +815,52 @@ fn e9() {
         );
     }
     println!("\n  (simulated time: 4s jobs, 2 cpus each, 32-cpu host; the paper's service ran them sequentially)");
+
+    // Wall-clock processing of the request forms. Zero-second jobs keep
+    // the simulated runtimes out; each form gets a fresh service.
+    let job_client = || {
+        let server = SoapServer::new();
+        server.mount(Arc::new(portalws_services::JobSubmissionService::new(
+            portalws_gridsim::grid::Grid::testbed(),
+        )));
+        let handler: Arc<dyn Handler> = Arc::new(server);
+        SoapClient::new(Arc::new(InMemoryTransport::new(handler)), "JobSubmission")
+    };
+    println!("\n  wall-clock processing (zero-second jobs, in-memory):");
+    println!(
+        "  {:<6} {:>16} {:>16} {:>18}",
+        "jobs", "one sequential", "one parallel", "N single requests"
+    );
+    for n in [1usize, 4, 16, 32] {
+        let request = jobs_request(n, 0, 1);
+        let jobs = job_client();
+        let t_seq = median(r.n(20), || {
+            jobs.call("runXml", &[SoapValue::Xml(request.clone())])
+                .unwrap();
+        });
+        let jobs = job_client();
+        let t_par = median(r.n(20), || {
+            jobs.call("runXmlParallel", &[SoapValue::Xml(request.clone())])
+                .unwrap();
+        });
+        let jobs = job_client();
+        let t_single = median(r.n(20), || {
+            for _ in 0..n {
+                jobs.call("runXml", &[SoapValue::Xml(jobs_request(1, 0, 1))])
+                    .unwrap();
+            }
+        });
+        println!(
+            "  {:<6} {:>16} {:>16} {:>18}",
+            n,
+            ms(t_seq),
+            ms(t_par),
+            ms(t_single)
+        );
+    }
 }
 
-fn e10() {
+fn e10(r: Runs) {
     let sites: [(&str, Arc<dyn SoapService>, &[SchedulerKind]); 2] = [
         (
             "IU",
@@ -719,7 +903,7 @@ fn e10() {
             ] {
                 let script = generate();
                 let accepted = parse_script(kind, &script).is_ok();
-                let t = median(100, || {
+                let t = median(r.n(100), || {
                     generate();
                 });
                 println!(

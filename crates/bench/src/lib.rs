@@ -1,10 +1,12 @@
 //! Shared workload builders for the benchmark harness.
 //!
-//! Every experiment in EXPERIMENTS.md has two drivers: a Criterion bench
-//! (`benches/`) that measures time, and the `report` binary that prints
-//! the paper-shaped series (counts, bytes, precision/recall, simulated
-//! makespans) alongside timing medians. Both build their workloads here
-//! so the numbers agree.
+//! The `report` binary prints every E1–E10 series (counts, bytes,
+//! precision/recall, simulated makespans, and timing medians); the `e11`
+//! to `e16` binaries each measure and gate one later experiment. They
+//! build their workloads here so the numbers agree, and read their
+//! command lines and baselines through [`measure`].
+
+pub mod measure;
 
 use std::sync::Arc;
 

@@ -15,8 +15,6 @@
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::http::{Request, Response};
 use crate::server::Handler;
 use crate::stats::{Counter, WireStats};
@@ -31,13 +29,12 @@ pub trait Transport: Send + Sync {
     fn stats(&self) -> Arc<WireStats>;
 }
 
-/// One-TCP-connection-per-call HTTP transport (the 2002 regime), with an
-/// optional keep-alive mode as the transport ablation.
+/// One-TCP-connection-per-call HTTP transport: the 2002 regime, kept as
+/// the declared ablation next to the pooled keep-alive
+/// [`PooledTransport`](crate::PooledTransport).
 pub struct HttpTransport {
     addr: String,
     stats: Arc<WireStats>,
-    /// When set, a pooled connection reused across calls.
-    pooled: Option<Mutex<Option<TcpStream>>>,
 }
 
 impl HttpTransport {
@@ -47,18 +44,6 @@ impl HttpTransport {
         HttpTransport {
             addr: addr.to_string(),
             stats: Arc::new(WireStats::new()),
-            pooled: None,
-        }
-    }
-
-    /// Keep-alive variant: one connection reused across calls (the
-    /// regime commodity HTTP moved to after the paper's era). Used by the
-    /// E1/E6 ablations to isolate connection-setup cost.
-    pub fn keep_alive(addr: impl ToString) -> Self {
-        HttpTransport {
-            addr: addr.to_string(),
-            stats: Arc::new(WireStats::new()),
-            pooled: Some(Mutex::new(None)),
         }
     }
 
@@ -66,48 +51,22 @@ impl HttpTransport {
     pub fn addr(&self) -> &str {
         &self.addr
     }
-
-    fn exchange_on(&self, conn: &mut TcpStream, bytes: &[u8]) -> Result<Response> {
-        {
-            use std::io::Write;
-            conn.write_all(bytes)?;
-            conn.flush()?;
-        }
-        let resp = Response::read_from(&*conn)?;
-        self.stats.record_exchange(bytes.len(), resp.wire_len());
-        Ok(resp)
-    }
 }
 
 impl Transport for HttpTransport {
     fn round_trip(&self, req: Request) -> Result<Response> {
         let run = || -> Result<Response> {
-            match &self.pooled {
-                None => {
-                    let bytes = req.to_bytes();
-                    let mut conn = TcpStream::connect(&self.addr)?;
-                    self.stats.add(Counter::Connections, 1);
-                    self.exchange_on(&mut conn, &bytes)
-                }
-                Some(pool) => {
-                    let req = req.with_header("Connection", "keep-alive");
-                    let bytes = req.to_bytes();
-                    let mut slot = pool.lock();
-                    if let Some(mut conn) = slot.take() {
-                        // Reuse; on failure (server closed the idle
-                        // connection) fall through to a fresh one.
-                        if let Ok(resp) = self.exchange_on(&mut conn, &bytes) {
-                            *slot = Some(conn);
-                            return Ok(resp);
-                        }
-                    }
-                    let mut conn = TcpStream::connect(&self.addr)?;
-                    self.stats.add(Counter::Connections, 1);
-                    let resp = self.exchange_on(&mut conn, &bytes)?;
-                    *slot = Some(conn);
-                    Ok(resp)
-                }
+            let bytes = req.to_bytes();
+            let mut conn = TcpStream::connect(&self.addr)?;
+            self.stats.add(Counter::Connections, 1);
+            {
+                use std::io::Write;
+                conn.write_all(&bytes)?;
+                conn.flush()?;
             }
+            let resp = Response::read_from(&conn)?;
+            self.stats.record_exchange(bytes.len(), resp.wire_len());
+            Ok(resp)
         };
         run().inspect_err(|_| self.stats.add(Counter::Errors, 1))
     }
@@ -223,38 +182,6 @@ mod tests {
         }
         assert_eq!(t.stats().snapshot().connections, 5);
         server.shutdown();
-    }
-
-    #[test]
-    fn keep_alive_reuses_one_connection() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
-        let t = HttpTransport::keep_alive(server.addr());
-        for _ in 0..8 {
-            let resp = t.round_trip(Request::post("/x", "grid")).unwrap();
-            assert_eq!(resp.body_str(), "GRID");
-        }
-        assert_eq!(t.stats().snapshot().connections, 1);
-        assert_eq!(t.stats().snapshot().requests, 8);
-        server.shutdown();
-    }
-
-    #[test]
-    fn keep_alive_reconnects_after_server_restart() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
-        let t = HttpTransport::keep_alive(server.addr());
-        t.round_trip(Request::post("/x", "a")).unwrap();
-        let addr = server.addr();
-        server.shutdown();
-        // Old pooled stream is dead; a new server on a fresh port means
-        // this call must fail…
-        assert!(t.round_trip(Request::post("/x", "b")).is_err());
-        // …and a transport against the live server works regardless of
-        // the dead pool entry.
-        let server2 = HttpServer::start(upper_handler(), 2).unwrap();
-        let _ = addr;
-        let t2 = HttpTransport::keep_alive(server2.addr());
-        assert!(t2.round_trip(Request::post("/x", "c")).is_ok());
-        server2.shutdown();
     }
 
     #[test]

@@ -30,11 +30,8 @@ type Connect = fn(&str) -> Box<dyn Transport>;
 
 /// Every TCP client transport, built fresh against one server, with the
 /// connections it opens for three calls.
-const TRANSPORTS: [(&str, u64, Connect); 3] = [
+const TRANSPORTS: [(&str, u64, Connect); 2] = [
     ("HttpTransport::new", 3, |a| Box::new(HttpTransport::new(a))),
-    ("HttpTransport::keep_alive", 1, |a| {
-        Box::new(HttpTransport::keep_alive(a))
-    }),
     ("PooledTransport", 1, |a| Box::new(PooledTransport::new(a))),
 ];
 

@@ -1,9 +1,9 @@
 //! Non-timing checks for every quantitative prose claim the benchmarks
 //! measure (E5–E9): byte amplification, connection counts, discovery
 //! precision/recall, context overhead, and sequential-vs-parallel
-//! makespan in simulated time. The criterion benches measure the *time*
-//! side of the same claims; these tests pin the *counts*, which are
-//! deterministic.
+//! makespan in simulated time. The `report` binary of `portalws-bench`
+//! measures the *time* side of the same claims; these tests pin the
+//! *counts*, which are deterministic.
 
 use std::sync::Arc;
 
@@ -12,7 +12,9 @@ use portalws::registry::{ContainerRegistry, ServiceEntry, UddiRegistry};
 use portalws::services::context::ContextStore;
 use portalws::services::scriptgen::{ContextCoupling, HotPageClient, IuScriptGen, ScriptRequest};
 use portalws::soap::{SoapClient, SoapServer, SoapValue};
-use portalws::wire::{Handler, HttpServer, HttpTransport, InMemoryTransport, Transport};
+use portalws::wire::{
+    Handler, HttpServer, HttpTransport, InMemoryTransport, PooledTransport, Transport,
+};
 use portalws::xml::Element;
 
 // -------------------------------------------------------------------------
@@ -159,7 +161,8 @@ fn e6_xml_call_uses_one_connection_for_n_commands() {
 #[test]
 fn e6_keep_alive_ablation_also_reaches_one_connection() {
     // The post-2002 fix for the same cost xml_call addressed: reuse the
-    // TCP connection instead of batching the application payload.
+    // TCP connection (the pooled keep-alive transport) instead of
+    // batching the application payload.
     let srb = Arc::new(portalws::gridsim::srb::Srb::new());
     srb.mkdir("/ka").unwrap();
     let server = SoapServer::new();
@@ -168,7 +171,7 @@ fn e6_keep_alive_ablation_also_reaches_one_connection() {
     )));
     let handler: Arc<dyn Handler> = Arc::new(server);
     let tcp_server = HttpServer::start(handler, 2).unwrap();
-    let transport: Arc<dyn Transport> = Arc::new(HttpTransport::keep_alive(tcp_server.addr()));
+    let transport: Arc<dyn Transport> = Arc::new(PooledTransport::new(tcp_server.addr()));
     let data = SoapClient::new(Arc::clone(&transport), "DataManagement");
     for i in 0..16 {
         data.call(
